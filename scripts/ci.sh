@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 verification, the concurrency suites on their
-# own, and (opt-in) a ThreadSanitizer pass over them.
+# CI entry point: tier-1 verification (scripts/tier1.sh: build, full
+# suite, the concurrency suites on their own and, opt-in, a
+# ThreadSanitizer pass over them), then the obs label and the smokes.
 #
 #   scripts/ci.sh                 # build + full tests + concurrency label
 #   DISCO_TSAN=1 scripts/ci.sh    # additionally rebuild the concurrency
@@ -17,13 +18,8 @@ set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 
-echo "== tier-1: build + full test suite =="
-cmake -B "$repo/build" -S "$repo"
-cmake --build "$repo/build" -j "$(nproc)"
-ctest --test-dir "$repo/build" --output-on-failure -j "$(nproc)"
-
-echo "== concurrency label (executor + session + obs + cache + server + fedcat) =="
-ctest --test-dir "$repo/build" -L concurrency --output-on-failure
+echo "== tier-1: build + full test suite + concurrency label (+ TSan) =="
+"$repo/scripts/tier1.sh"
 
 echo "== obs label (tracing & explain suite) =="
 ctest --test-dir "$repo/build" -L obs --output-on-failure
@@ -39,16 +35,6 @@ cmake --build "$repo/build" -j "$(nproc)" --target bench_index
 echo "== docsource smoke (path probes + pushdown twins, small collection) =="
 cmake --build "$repo/build" -j "$(nproc)" --target bench_docsource
 "$repo/build/bench/bench_docsource" --smoke
-
-if [[ "${DISCO_TSAN:-0}" != "0" ]]; then
-  echo "== ThreadSanitizer pass (concurrency label) =="
-  cmake -B "$repo/build-tsan" -S "$repo" -DDISCO_SANITIZE=thread
-  cmake --build "$repo/build-tsan" -j "$(nproc)" \
-    --target test_exec test_session test_obs test_cache test_sched \
-             test_server test_fedcat test_vec_differential \
-             test_memdb_concurrency test_doc_differential
-  ctest --test-dir "$repo/build-tsan" -L concurrency --output-on-failure
-fi
 
 if [[ "${DISCO_ASAN:-0}" != "0" ]]; then
   echo "== ASan+UBSan pass (obs label) =="

@@ -72,17 +72,6 @@ Mediator::Mediator(Options options)
   }
   tracker_ = std::make_unique<session::SourceHealthTracker>(
       options_.health, std::move(health_clock));
-  if (dispatcher_ != nullptr) {
-    // Wall-clock mode: every dispatched call's final outcome feeds the
-    // tracker from the dispatcher threads. (Virtual-time mode feeds it
-    // through ExecContext::report_health instead — see make_context.)
-    dispatcher_->set_outcome_listener(
-        [this](const std::string& endpoint,
-               const exec::DispatchOutcome& outcome) {
-          tracker_->on_outcome(endpoint, outcome.available,
-                               outcome.latency_s);
-        });
-  }
 
   sessions_ = std::make_unique<session::ResubmissionManager>(
       [this](const std::string& text, double deadline_s) {
@@ -345,25 +334,22 @@ physical::ExecContext Mediator::make_context(
   context.validate_rows = options_.validate_source_rows;
   context.vec = options_.vec;
   context.metrics = options_.vec.enabled ? registry_ : nullptr;
-  context.record_exec = [this](const std::string& repository,
-                               const algebra::LogicalPtr& remote,
-                               double time_s, size_t rows) {
-    history_.record(repository, remote, time_s, rows);
+  // One feed in both modes: every call that reached a source reports its
+  // health outcome (tracked even when breaking is disabled — passive
+  // monitoring) and, when it answered, its §3.3 cost observation.
+  context.record_exec = [this](const physical::SourceCall& call) {
+    const bool ok = call.outcome == physical::SourceCall::Outcome::Ok;
+    tracker_->on_outcome(call.repository, ok, call.latency_s);
+    if (ok) {
+      history_.record(call.repository, call.shape, call.latency_s,
+                      call.rows());
+    }
   };
   if (options_.health.enabled) {
     context.admit_source = [this](const std::string& repository) {
       bool admitted = tracker_->admit(repository);
       if (!admitted) exec_metrics_.on_short_circuit();
       return admitted;
-    };
-  }
-  if (dispatcher_ == nullptr) {
-    // Virtual-time mode has no dispatcher outcome listener; the runtime
-    // reports each finished source call here. Health is tracked even
-    // when breaking is disabled (passive monitoring).
-    context.report_health = [this](const std::string& repository,
-                                   bool available, double latency_s) {
-      tracker_->on_outcome(repository, available, latency_s);
     };
   }
   return context;

@@ -32,10 +32,6 @@ ParallelDispatcher::ParallelDispatcher(ThreadPool* pool,
   internal_check(options_.latency_scale > 0, "latency scale must be > 0");
 }
 
-void ParallelDispatcher::set_outcome_listener(OutcomeListener listener) {
-  on_outcome_ = std::move(listener);
-}
-
 DispatchOutcome ParallelDispatcher::call(const std::string& endpoint,
                                          size_t result_rows, double issue_at,
                                          double deadline_s,
@@ -83,7 +79,7 @@ DispatchOutcome ParallelDispatcher::dispatch(const std::string& endpoint,
       out.timed_out = true;
       // This round was attempted and aborted: report it, so a
       // deadline-expired call never surfaces as attempts=0 in metrics,
-      // traces and the outcome listener.
+      // traces and the health feed.
       out.attempts = std::max(out.attempts, 1u);
       break;
     }
@@ -135,9 +131,6 @@ DispatchOutcome ParallelDispatcher::dispatch(const std::string& endpoint,
     if (!probe) metrics_->on_success(result_rows, out.latency_s);
   } else {
     if (!probe) metrics_->on_failure(out.timed_out);
-  }
-  if (!probe && on_outcome_) {
-    on_outcome_(endpoint, out);
   }
   return out;
 }

@@ -13,15 +13,13 @@
 //     retries with exponential backoff plus jitter, bounded by
 //     RetryPolicy::max_attempts and the per-call deadline,
 //   * reports a DispatchOutcome (latency, attempts) that the runtime
-//     turns into data-or-residual and feeds into CostHistory,
-//   * bumps the shared exec::Metrics counter block,
-//   * fires the outcome listener, if set — the mediator routes it into
-//     the session subsystem's SourceHealthTracker (circuit breakers).
+//     records in its SourceCall — from which it derives data-or-residual
+//     and feeds the health tracker and the CostHistory,
+//   * bumps the shared exec::Metrics counter block.
 //
 // probe() issues a zero-payload health check under the same
 // retry/deadline machinery; the session prober uses it for half-open
-// probes. Probes do NOT fire the outcome listener (the prober reports
-// to the tracker itself, with probe bookkeeping).
+// probes and reports the outcome to the tracker itself.
 //
 // The dispatcher holds no lock across wrapper or network calls and is
 // safe to share between every Runtime of one mediator: all state is a
@@ -29,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <mutex>
 
@@ -82,12 +79,6 @@ struct DispatchOutcome {
 
 class ParallelDispatcher {
  public:
-  /// Fired after every call() with its final outcome (dispatcher
-  /// thread). Must be thread-safe and cheap.
-  using OutcomeListener =
-      std::function<void(const std::string& endpoint,
-                         const DispatchOutcome& outcome)>;
-
   /// All pointers are borrowed and must outlive the dispatcher.
   ParallelDispatcher(ThreadPool* pool, net::Network* network,
                      ExecOptions options, Metrics* metrics);
@@ -115,19 +106,14 @@ class ParallelDispatcher {
 
   /// Issues one zero-payload health probe under the same retry/deadline
   /// machinery (net::Network::probe). Counted as a probe, not a
-  /// dispatch, and does not fire the outcome listener. Thread-safe.
+  /// dispatch. Thread-safe.
   DispatchOutcome probe(const std::string& endpoint, double issue_at,
                         double deadline_s);
-
-  /// Installs (or clears) the outcome listener. Not safe concurrently
-  /// with in-flight calls — wire it up before serving traffic.
-  void set_outcome_listener(OutcomeListener listener);
 
   Metrics& metrics() { return *metrics_; }
 
  private:
-  /// Shared attempt loop; `probe` selects probe pricing and skips the
-  /// listener.
+  /// Shared attempt loop; `probe` selects probe pricing and counters.
   DispatchOutcome dispatch(const std::string& endpoint, size_t result_rows,
                            double issue_at, double deadline_s, bool probe,
                            obs::ObsContext obs);
@@ -136,7 +122,6 @@ class ParallelDispatcher {
   net::Network* network_;
   ExecOptions options_;
   Metrics* metrics_;
-  OutcomeListener on_outcome_;
   std::atomic<uint64_t> jitter_seed_{0x9e3779b97f4a7c15ULL};
 };
 

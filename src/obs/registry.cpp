@@ -59,7 +59,6 @@ void fetch_max(std::atomic<uint64_t>& slot, uint64_t value) {
 
 void Histogram::observe(double value) {
   const uint64_t micro = to_micro(value);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_micro_.fetch_add(micro, std::memory_order_relaxed);
   fetch_min(min_micro_, micro);
   fetch_max(max_micro_, micro);
@@ -72,7 +71,6 @@ double Histogram::bucket_bound(size_t index) {
 
 Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
   snap.sum = static_cast<double>(sum_micro_.load(std::memory_order_relaxed)) *
              1e-6;
   const uint64_t lo = min_micro_.load(std::memory_order_relaxed);
@@ -80,14 +78,16 @@ Histogram::Snapshot Histogram::snapshot() const {
   snap.max =
       static_cast<double>(max_micro_.load(std::memory_order_relaxed)) * 1e-6;
   snap.buckets.resize(kBuckets);
+  // The count is the bucket sum, so a snapshot taken while writers run
+  // is always self-consistent.
   for (size_t i = 0; i < kBuckets; ++i) {
     snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    snap.count += snap.buckets[i];
   }
   return snap;
 }
 
 void Histogram::reset() {
-  count_.store(0, std::memory_order_relaxed);
   sum_micro_.store(0, std::memory_order_relaxed);
   min_micro_.store(UINT64_MAX, std::memory_order_relaxed);
   max_micro_.store(0, std::memory_order_relaxed);

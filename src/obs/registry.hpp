@@ -67,7 +67,6 @@ class Histogram {
   static double bucket_bound(size_t index);
 
  private:
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_micro_{0};  ///< sum in microunits
   std::atomic<uint64_t> min_micro_{UINT64_MAX};
   std::atomic<uint64_t> max_micro_{0};

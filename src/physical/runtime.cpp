@@ -11,6 +11,70 @@
 
 namespace disco::physical {
 
+namespace {
+
+/// The record of one call of an exec leaf or bind-join probe `node`.
+SourceCall exec_call(const Physical& node, algebra::LogicalPtr remote,
+                     algebra::LogicalPtr shape) {
+  SourceCall call;
+  call.repository = node.repository;
+  call.wrapper = node.wrapper;
+  call.remote = std::move(remote);
+  call.residual = node.logical;
+  call.shape = std::move(shape);
+  return call;
+}
+
+const char* shed_reason_name(sched::QueryScheduler::ShedReason reason) {
+  switch (reason) {
+    case sched::QueryScheduler::ShedReason::QueueFull:
+      return "queue_full";
+    case sched::QueryScheduler::ShedReason::Deadline:
+      return "queue_deadline";
+    default:
+      return "drained";
+  }
+}
+
+/// Maps every variable bound by a get node of `node` to its extent's
+/// interface.
+void collect_interfaces(const catalog::Catalog& catalog,
+                        const algebra::LogicalPtr& node,
+                        std::unordered_map<std::string, std::string>* out) {
+  switch (node->op) {
+    case algebra::LOp::Get:
+      (*out)[node->var] = catalog.extent(node->extent).interface;
+      return;
+    case algebra::LOp::Filter:
+      collect_interfaces(catalog, node->child, out);
+      return;
+    case algebra::LOp::Join:
+      collect_interfaces(catalog, node->left, out);
+      collect_interfaces(catalog, node->right, out);
+      return;
+    default:
+      return;
+  }
+}
+
+/// §2.1's run-time type check: every variable's rows must inhabit the
+/// extent's interface (TypeError otherwise). Project-topped replies carry
+/// computed values, not typed rows, and are skipped.
+void check_rows(const catalog::Catalog& catalog,
+                const algebra::LogicalPtr& remote, const Value& data) {
+  if (remote->op == algebra::LOp::Project) return;
+  std::unordered_map<std::string, std::string> by_var;
+  collect_interfaces(catalog, remote, &by_var);
+  for (const Value& env : data.items()) {
+    for (const auto& [var, row] : env.fields()) {
+      auto it = by_var.find(var);
+      if (it != by_var.end()) catalog.types().check_row(it->second, row);
+    }
+  }
+}
+
+}  // namespace
+
 Runtime::Runtime(ExecContext context)
     : context_(std::move(context)), evaluator_(context_.resolver) {
   internal_check(context_.catalog != nullptr && context_.network != nullptr &&
@@ -52,7 +116,6 @@ Runtime::Outcome Runtime::make_leaf_outcome(const std::vector<Value>& rows) {
 RunResult Runtime::run(const PhysicalPtr& plan) {
   internal_check(plan != nullptr, "cannot run a null plan");
   stats_ = RunStats{};
-  denied_.clear();
   issue_time_ = context_.clock->now();
   max_latency_ = 0;
   any_blocked_ = false;
@@ -101,20 +164,10 @@ void Runtime::prefetch_execs(const PhysicalPtr& plan) {
   switch (plan->op) {
     case POp::Exec: {
       PhysicalPtr node = plan;  // keep the node alive inside the task
-      if (prefetched_.contains(node.get()) || denied_.contains(node.get())) {
-        return;  // shared subplan
-      }
-      if (context_.admit_source &&
-          !context_.admit_source(node->repository)) {
-        // Open circuit: never launched; call_source emits the residual.
-        denied_.insert(node.get());
-        return;
-      }
-      prefetched_.emplace(
-          node.get(), context_.dispatcher->async([this, node] {
-            return fetch_from_source(node->repository, node->wrapper,
-                                     node->remote);
-          }));
+      if (prefetched_.contains(node.get())) return;  // shared subplan
+      prefetched_.emplace(node.get(), context_.dispatcher->async([this, node] {
+        return perform(exec_call(*node, node->remote, node->remote));
+      }));
       return;
     }
     case POp::Filter:
@@ -269,71 +322,58 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
   throw InternalError("corrupt physical plan in runtime");
 }
 
-Runtime::Fetch Runtime::fetch_from_source(const std::string& repository_name,
-                                          const std::string& wrapper_name,
-                                          const algebra::LogicalPtr& remote) {
-  if (context_.cache == nullptr) {
-    return fetch_direct(repository_name, wrapper_name, remote);
+Runtime::Outcome Runtime::eval_exec(const Physical& node) {
+  auto it = prefetched_.find(&node);
+  if (it == prefetched_.end()) {
+    return settle(perform(exec_call(node, node.remote, node.remote)));
   }
-  cache::ResultCache::Lookup lookup =
-      context_.cache->get_or_begin(repository_name, remote);
-  if (lookup.kind == cache::ResultCache::LookupKind::Lead) {
-    // This thread fetches for everyone waiting on the same submit. Only
-    // a successful reply is published; a refusal or unavailable outcome
-    // abandons the ticket (Ticket dtor) and waiters re-race — residual
-    // outcomes are never cached.
-    Fetch fetch = fetch_direct(repository_name, wrapper_name, remote);
-    if (fetch.submit.status == wrapper::SubmitResult::Status::Ok &&
-        fetch.net.available) {
-      cache::CachedResult cached;
-      cached.data = fetch.submit.data;
-      cached.source_latency_s = fetch.net.latency_s;
-      context_.cache->publish(lookup.ticket, std::move(cached));
-    }
-    return fetch;
-  }
-  // Hit or Coalesced: the reply is shared-immutable, so handing the same
-  // Value to many query threads is safe. Zero network latency — a cached
-  // answer is faster than the fastest source.
-  Fetch fetch;
-  fetch.submit = wrapper::SubmitResult::ok(lookup.result->data);
-  fetch.net.available = true;
-  fetch.net.attempts = 0;
-  fetch.net.latency_s = 0;
-  const bool coalesced =
-      lookup.kind == cache::ResultCache::LookupKind::Coalesced;
-  fetch.served = coalesced ? Fetch::Served::Coalesced : Fetch::Served::CacheHit;
-  if (coalesced && context_.dispatcher != nullptr) {
-    context_.dispatcher->metrics().on_coalesced();
-  }
-  if (context_.obs) {
-    const uint64_t event =
-        context_.obs.trace->instant(context_.obs.span, "cache_hit", "cache");
-    context_.obs.trace->tag(event, "repository", repository_name);
-    context_.obs.trace->tag(event, "remote",
-                            algebra::to_algebra_string(remote));
-    if (coalesced) context_.obs.trace->tag(event, "coalesced", "true");
-  }
-  return fetch;
+  std::future<SourceCall> future = std::move(it->second);
+  prefetched_.erase(it);
+  return settle(future.get());  // rethrows pool-thread exceptions here
 }
 
-Runtime::Fetch Runtime::fetch_direct(const std::string& repository_name,
-                                     const std::string& wrapper_name,
-                                     const algebra::LogicalPtr& remote) {
-  const catalog::Repository& repository =
-      context_.catalog->repository(repository_name);
-  wrapper::Wrapper* wrapper = context_.wrapper_by_name(wrapper_name);
-  internal_check(wrapper != nullptr,
-                 "no wrapper object named '" + wrapper_name + "'");
+SourceCall Runtime::perform(SourceCall call) const {
+  // Circuit breaker (src/session/): a refused source turns residual with
+  // no wrapper work, no network call and no deadline wait. Consulted
+  // exactly once per call, here, because admission has trial side effects
+  // in HalfOpen.
+  if (context_.admit_source && !context_.admit_source(call.repository)) {
+    call.outcome = SourceCall::Outcome::ShortCircuit;
+    return call;
+  }
 
-  // One span per source call, recorded on whatever thread runs the call
-  // (a pool thread in wall-clock mode) — the trace's per-thread lanes
-  // show dispatch overlap directly.
+  // Result cache (src/cache/): a stored reply, or an identical in-flight
+  // fetch to join, makes no new source observation. Otherwise this call
+  // leads and publishes below; a failed or throwing leader abandons the
+  // ticket and its waiters re-race — residual outcomes are never cached.
+  cache::ResultCache::Lookup lookup;
+  if (context_.cache != nullptr) {
+    lookup = context_.cache->get_or_begin(call.repository, call.remote);
+    if (lookup.kind != cache::ResultCache::LookupKind::Lead) {
+      // The reply is shared-immutable, so handing the same Value to many
+      // query threads is safe. Zero latency: a cached answer is faster
+      // than the fastest source.
+      const bool coalesced =
+          lookup.kind == cache::ResultCache::LookupKind::Coalesced;
+      call.served = coalesced ? SourceCall::Served::Coalesced
+                              : SourceCall::Served::CacheHit;
+      call.reply = wrapper::SubmitResult::ok(lookup.result->data);
+      if (coalesced && wall_clock_mode()) {
+        context_.dispatcher->metrics().on_coalesced();
+      }
+      return call;
+    }
+  }
+
+  // One span per call that reaches the wrapper, recorded on whatever
+  // thread runs the call (a pool thread in wall-clock mode) — the trace's
+  // per-thread lanes show dispatch overlap directly.
   obs::ScopedSpan span(context_.obs, "exec", "exec");
+  call.span = span.id();
   if (span) {
-    span.tag("repository", repository_name);
-    span.tag("wrapper", wrapper_name);
-    span.tag("remote", algebra::to_algebra_string(remote));
+    span.tag("repository", call.repository);
+    span.tag("wrapper", call.wrapper);
+    span.tag("remote", algebra::to_algebra_string(call.remote));
     if (std::isfinite(context_.deadline_s)) {
       span.tag("deadline_s", context_.deadline_s);
     }
@@ -344,48 +384,36 @@ Runtime::Fetch Runtime::fetch_direct(const std::string& repository_name,
   // then turns out to be unreachable (or the reply would land past the
   // deadline) the computed data is discarded and the exec is classified
   // unavailable (§4). Only simulated work is wasted.
-  wrapper::BindingMap bindings =
-      wrapper::bindings_for(remote, *context_.catalog);
-  Fetch fetch;
-  fetch.submit = wrapper->submit(repository, remote, bindings);
-  if (fetch.submit.status == wrapper::SubmitResult::Status::Refused) {
-    return fetch;  // call_source throws, on the query's own thread
+  wrapper::Wrapper* wrapper = context_.wrapper_by_name(call.wrapper);
+  internal_check(wrapper != nullptr,
+                 "no wrapper object named '" + call.wrapper + "'");
+  call.reply = wrapper->submit(
+      context_.catalog->repository(call.repository), call.remote,
+      wrapper::bindings_for(call.remote, *context_.catalog));
+  if (call.reply.status == wrapper::SubmitResult::Status::Refused) {
+    call.outcome = SourceCall::Outcome::Refused;
+    return call;
   }
 
-  size_t rows = fetch.submit.data.size();
+  // Source compute (the wrapper's opt-in cost model) delays the reply
+  // exactly like wire time: it is part of the observed latency in both
+  // modes, and in virtual time it counts against the §4 deadline.
+  const size_t rows = call.reply.data.size();
   if (wall_clock_mode()) {
-    // Per-source admission control (src/sched/): acquire this endpoint's
-    // token before touching the dispatcher. Admission happens here — in
-    // the leader-only fetch path — so a cache hit or a coalesced waiter
-    // never holds a token. A shed admission converts the call into a §4
-    // residual without any network attempt.
-    double queued_s = 0;
+    // Per-source admission control (src/sched/): only a call that got
+    // past the cache ever holds a token. A shed admission converts the
+    // call into a §4 residual without any network attempt.
     sched::QueryScheduler::Admission admission;
     if (context_.scheduler != nullptr) {
       admission = context_.scheduler->admit(
-          repository_name, context_.query_id, context_.deadline_s);
-      queued_s = admission.queued_s;
-      if (span && queued_s > 0) span.tag("queued_s", queued_s);
+          call.repository, context_.query_id, context_.deadline_s);
+      call.queued_s = admission.queued_s;
+      if (span && call.queued_s > 0) span.tag("queued_s", call.queued_s);
       if (!admission.admitted) {
-        fetch.shed = true;
-        fetch.net.available = false;
-        fetch.net.attempts = 0;
-        if (context_.obs) {
-          const uint64_t event =
-              context_.obs.trace->instant(span.id(), "shed", "sched");
-          context_.obs.trace->tag(event, "repository", repository_name);
-          context_.obs.trace->tag(
-              event, "reason",
-              admission.shed_reason ==
-                      sched::QueryScheduler::ShedReason::QueueFull
-                  ? "queue_full"
-                  : (admission.shed_reason ==
-                             sched::QueryScheduler::ShedReason::Deadline
-                         ? "queue_deadline"
-                         : "drained"));
-        }
-        if (span) span.tag("outcome", "shed");
-        return fetch;
+        call.outcome = SourceCall::Outcome::Shed;
+        call.shed_reason = admission.shed_reason;
+        span.tag("outcome", "shed");
+        return call;
       }
     }
     // Retry/backoff/deadline semantics live in the dispatcher; the wait
@@ -393,170 +421,102 @@ Runtime::Fetch Runtime::fetch_direct(const std::string& repository_name,
     // queued counts against the query deadline.
     double remaining = context_.deadline_s;
     if (std::isfinite(remaining)) {
-      remaining = std::max(0.0, remaining - queued_s);
+      remaining = std::max(0.0, remaining - call.queued_s);
     }
-    fetch.net = context_.dispatcher->call(repository_name, rows, issue_time_,
-                                          remaining, span.context());
-    // admission.permit releases the token here (RAII), after the call.
-    if (fetch.net.available) {
-      fetch.net.latency_s += fetch.submit.compute_s;
-    }
+    const exec::DispatchOutcome net = context_.dispatcher->call(
+        call.repository, rows, issue_time_, remaining, span.context());
+    admission.permit.release();
+    call.attempts = net.attempts;
+    call.wall_s = net.wall_s;
+    call.latency_s = net.latency_s + call.reply.compute_s;
+    call.outcome = net.available   ? SourceCall::Outcome::Ok
+                   : net.timed_out ? SourceCall::Outcome::Timeout
+                                   : SourceCall::Outcome::Unavailable;
   } else {
-    net::CallOutcome reply =
-        context_.network->call(repository_name, rows, issue_time_);
-    fetch.net.attempts = 1;
-    // Source compute (the wrapper's opt-in cost model) delays the reply
-    // exactly like wire time: it is part of the observed latency and
-    // counts against the §4 deadline. Zero unless the wrapper opted in.
-    fetch.net.latency_s = reply.latency_s + fetch.submit.compute_s;
-    if (!reply.available) {
-      fetch.net.available = false;
-    } else if (fetch.net.latency_s > context_.deadline_s) {
-      fetch.net.timed_out = true;
-    } else {
-      fetch.net.available = true;
-    }
+    const net::CallOutcome net =
+        context_.network->call(call.repository, rows, issue_time_);
+    call.attempts = 1;
+    call.latency_s = net.latency_s + call.reply.compute_s;
+    call.outcome = !net.available ? SourceCall::Outcome::Unavailable
+                   : call.latency_s > context_.deadline_s
+                       ? SourceCall::Outcome::Timeout
+                       : SourceCall::Outcome::Ok;
   }
+
+  // The one observation site, for every call that reached a source.
   if (span) {
-    span.tag("attempts", static_cast<uint64_t>(fetch.net.attempts));
-    span.tag("sim_latency_s", fetch.net.latency_s);
-    if (fetch.net.wall_s > 0) span.tag("wall_s", fetch.net.wall_s);
-    span.tag("rows", static_cast<uint64_t>(
-                         fetch.net.available ? rows : size_t{0}));
-    span.tag("outcome", fetch.net.available
-                            ? "ok"
-                            : (fetch.net.timed_out ? "timeout"
-                                                   : "unavailable"));
+    span.tag("attempts", static_cast<uint64_t>(call.attempts));
+    span.tag("sim_latency_s", call.latency_s);
+    if (call.wall_s > 0) span.tag("wall_s", call.wall_s);
+    span.tag("rows", static_cast<uint64_t>(call.rows()));
+    span.tag("outcome",
+             call.outcome == SourceCall::Outcome::Ok        ? "ok"
+             : call.outcome == SourceCall::Outcome::Timeout ? "timeout"
+                                                            : "unavailable");
   }
-  return fetch;
+  if (context_.record_exec) context_.record_exec(call);
+  if (call.outcome != SourceCall::Outcome::Ok) return call;
+  if (context_.validate_rows) {
+    check_rows(*context_.catalog, call.remote, call.reply.data);
+  }
+  if (lookup.ticket) {
+    context_.cache->publish(lookup.ticket,
+                            cache::CachedResult{call.reply.data,
+                                                call.latency_s});
+  }
+  return call;
 }
 
-Runtime::Outcome Runtime::call_source(
-    const Physical* origin, const std::string& repository_name,
-    const std::string& wrapper_name, const algebra::LogicalPtr& remote,
-    const algebra::LogicalPtr& logical_for_residual,
-    const algebra::LogicalPtr& record_shape) {
+Runtime::Outcome Runtime::settle(const SourceCall& call) {
+  if (call.outcome == SourceCall::Outcome::Refused) {
+    throw CapabilityError("wrapper '" + call.wrapper +
+                          "' refused a checked expression: " +
+                          call.reply.detail);
+  }
   ++stats_.exec_calls;
-  // Circuit-breaker admission (src/session/): a refused source turns
-  // residual right here — no wrapper work, no network call, and crucially
-  // no any_blocked_, so the query does not pay the §4 deadline wait for a
-  // source already known to be down. admit_source is consulted exactly
-  // once per call (at prefetch time in wall-clock mode, recorded in
-  // denied_), because admission has trial side effects in HalfOpen.
-  bool refused_by_breaker = false;
-  Fetch fetch;
-  auto it = origin != nullptr ? prefetched_.find(origin) : prefetched_.end();
-  if (it != prefetched_.end()) {
-    std::future<Fetch> future = std::move(it->second);
-    prefetched_.erase(it);
-    fetch = future.get();  // rethrows pool-thread exceptions here
-  } else if (origin != nullptr && denied_.contains(origin)) {
-    refused_by_breaker = true;
-  } else if (context_.admit_source &&
-             !context_.admit_source(repository_name)) {
-    refused_by_breaker = true;
-  } else {
-    fetch = fetch_from_source(repository_name, wrapper_name, remote);
-  }
-  if (refused_by_breaker) {
-    ++stats_.unavailable_calls;
-    ++stats_.short_circuit_calls;
-    if (context_.obs) {
-      const uint64_t event = context_.obs.trace->instant(
-          context_.obs.span, "short_circuit", "exec");
-      context_.obs.trace->tag(event, "repository", repository_name);
-      context_.obs.trace->tag(event, "remote",
-                              algebra::to_algebra_string(remote));
-    }
-    Outcome out;
-    out.residuals.push_back(logical_for_residual);
-    return out;
-  }
-  if (fetch.submit.status == wrapper::SubmitResult::Status::Refused) {
-    throw CapabilityError(
-        "wrapper '" + wrapper_name + "' refused a checked expression: " +
-        fetch.submit.detail);
-  }
-  // A cache-served reply made no new source observation: feeding it to
-  // the health tracker or the cost history would fabricate a zero-latency
-  // call, and its rows were validated when first fetched.
-  const bool cache_served = fetch.served != Fetch::Served::Source;
-  if (cache_served) {
-    if (fetch.served == Fetch::Served::CacheHit) {
-      ++stats_.cache_hits;
-    } else {
-      ++stats_.cache_coalesced;
-    }
-  }
-  // A shed call never reached the network: reporting it to the health
-  // tracker would fabricate an unavailability observation for a source
-  // that is merely busy.
-  if (context_.report_health && !cache_served && !fetch.shed) {
-    context_.report_health(repository_name, fetch.net.available,
-                           fetch.net.latency_s);
-  }
-
-  if (fetch.net.attempts > 1) {
-    stats_.retry_attempts += fetch.net.attempts - 1;
-  }
-  if (!fetch.net.available) {
-    ++stats_.unavailable_calls;
-    if (fetch.shed) ++stats_.shed_calls;
-    any_blocked_ = true;
-    Outcome out;
-    out.residuals.push_back(logical_for_residual);
-    return out;
-  }
-
-  wrapper::SubmitResult result = std::move(fetch.submit);
-  size_t rows = result.data.size();
-  max_latency_ = std::max(max_latency_, fetch.net.latency_s);
-  stats_.rows_fetched += rows;
-  if (context_.record_exec && !cache_served) {
-    context_.record_exec(repository_name,
-                         record_shape != nullptr ? record_shape : remote,
-                         fetch.net.latency_s, rows);
-  }
-  if (context_.validate_rows && !cache_served &&
-      remote->op != algebra::LOp::Project) {
-    // §2.1's run-time type check: every variable's rows must inhabit the
-    // extent's interface. Project-topped replies carry computed values,
-    // not typed rows, and are skipped. Map variables to interfaces by
-    // walking the remote expression's get nodes.
-    std::unordered_map<std::string, std::string> by_var;
-    std::function<void(const algebra::LogicalPtr&)> collect =
-        [&](const algebra::LogicalPtr& node) {
-          switch (node->op) {
-            case algebra::LOp::Get:
-              by_var[node->var] =
-                  context_.catalog->extent(node->extent).interface;
-              return;
-            case algebra::LOp::Filter:
-              collect(node->child);
-              return;
-            case algebra::LOp::Join:
-              collect(node->left);
-              collect(node->right);
-              return;
-            default:
-              return;
-          }
-        };
-    collect(remote);
-    for (const Value& env : result.data.items()) {
-      for (const auto& [var, row] : env.fields()) {
-        auto it = by_var.find(var);
-        if (it == by_var.end()) continue;
-        context_.catalog->types().check_row(it->second, row);
+  if (call.attempts > 1) stats_.retry_attempts += call.attempts - 1;
+  if (context_.obs) {
+    obs::Trace* trace = context_.obs.trace;
+    const bool cached = call.served != SourceCall::Served::Source;
+    if (call.outcome == SourceCall::Outcome::Shed) {
+      const uint64_t event = trace->instant(call.span, "shed", "sched");
+      trace->tag(event, "repository", call.repository);
+      trace->tag(event, "reason", shed_reason_name(call.shed_reason));
+    } else if (cached || call.outcome == SourceCall::Outcome::ShortCircuit) {
+      const uint64_t event =
+          cached ? trace->instant(context_.obs.span, "cache_hit", "cache")
+                 : trace->instant(context_.obs.span, "short_circuit", "exec");
+      trace->tag(event, "repository", call.repository);
+      trace->tag(event, "remote", algebra::to_algebra_string(call.remote));
+      if (call.served == SourceCall::Served::Coalesced) {
+        trace->tag(event, "coalesced", "true");
       }
     }
   }
-  return make_leaf_outcome(result.data.items());
-}
-
-Runtime::Outcome Runtime::eval_exec(const Physical& node) {
-  return call_source(&node, node.repository, node.wrapper, node.remote,
-                     node.logical);
+  switch (call.outcome) {
+    case SourceCall::Outcome::Ok:
+      if (call.served == SourceCall::Served::CacheHit) ++stats_.cache_hits;
+      if (call.served == SourceCall::Served::Coalesced) {
+        ++stats_.cache_coalesced;
+      }
+      stats_.rows_fetched += call.rows();
+      max_latency_ = std::max(max_latency_, call.latency_s);
+      return make_leaf_outcome(call.reply.data.items());
+    case SourceCall::Outcome::ShortCircuit:
+      // No any_blocked_: the query does not pay the §4 deadline wait for
+      // a source already known to be down.
+      ++stats_.short_circuit_calls;
+      break;
+    case SourceCall::Outcome::Shed:
+      ++stats_.shed_calls;
+      [[fallthrough]];
+    default:
+      any_blocked_ = true;
+  }
+  ++stats_.unavailable_calls;
+  Outcome out;
+  out.residuals.push_back(call.residual);
+  return out;
 }
 
 namespace {
@@ -797,9 +757,7 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
   // probe_shape (one placeholder key), not under the literal-laden
   // disjunction — so future optimizations can ask "what does a bound
   // probe cost here" and observe indexed probes coming back fast.
-  Outcome right =
-      call_source(/*origin=*/nullptr, node.repository, node.wrapper, remote,
-                  node.logical, node.probe_shape);
+  Outcome right = settle(perform(exec_call(node, remote, node.probe_shape)));
   if (!right.residuals.empty()) {
     out.residuals.push_back(node.logical);
     return out;

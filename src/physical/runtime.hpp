@@ -27,14 +27,26 @@
 //   * union concatenates.
 // The final answer is union(residuals..., data) — a query again.
 //
-// Two execution modes share the operator code (DESIGN.md §2, "Execution
-// concurrency"):
+// One source call is one SourceCall record, filled by Runtime::perform
+// in a fixed order: circuit breaker, result cache, wrapper submit,
+// scheduler, network. Calls that reached a source are observed at one
+// site at the end (health and §3.3 cost history through
+// ExecContext::record_exec, §2.1 row validation, exec-span tags) before
+// the cache publishes the reply; breaker refusals, cache-served, shed
+// and wrapper-refused calls return earlier and are never observed.
+// Runtime::settle then turns the finished record into RunStats, trace
+// instants and data-or-residual, on the query thread.
+//
+// Two execution modes share this path and the operator code (DESIGN.md
+// §2, "Execution concurrency"):
 //   * virtual-time (ExecContext::dispatcher == nullptr): the seed's
-//     deterministic simulation — calls run sequentially, parallelism is
-//     accounted as max over latencies, the VirtualClock advances;
+//     deterministic simulation — calls run inline and sequentially,
+//     parallelism is accounted as max over latencies, the VirtualClock
+//     advances;
 //   * wall-clock (dispatcher set): exec leaves are prefetched onto the
-//     dispatcher's thread pool, simulated latency is actually waited
-//     out, blips are retried with backoff, and elapsed time is measured.
+//     dispatcher's thread pool (perform runs there), simulated latency is
+//     actually waited out, blips are retried with backoff, and elapsed
+//     time is measured.
 #pragma once
 
 #include <cmath>
@@ -44,7 +56,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/logical.hpp"
@@ -63,6 +74,44 @@
 
 namespace disco::physical {
 
+/// One source call (§3.3's exec call), from breaker admission to its
+/// final outcome. Runtime::perform fills it; ExecContext::record_exec and
+/// Runtime::settle read the finished record.
+struct SourceCall {
+  enum class Outcome {
+    Ok,
+    Unavailable,   ///< the source was down (after any retries)
+    Timeout,       ///< the reply would land past the §4 deadline
+    Shed,          ///< the scheduler shed the call before the network
+    ShortCircuit,  ///< an open circuit refused the call
+    Refused,       ///< the wrapper refused the expression
+  };
+  enum class Served { Source, CacheHit, Coalesced };
+
+  std::string repository;
+  std::string wrapper;
+  algebra::LogicalPtr remote;    ///< the expression shipped to the wrapper
+  algebra::LogicalPtr residual;  ///< the §4 residual when the call fails
+  /// The expression the cost history records the call under: `remote`
+  /// for exec leaves, the plan's one-key probe_shape for bind-join probes.
+  algebra::LogicalPtr shape;
+  Served served = Served::Source;
+  Outcome outcome = Outcome::Ok;
+  uint32_t attempts = 0;  ///< network rounds; 0 if the network was not reached
+  double queued_s = 0;    ///< simulated seconds waiting for a scheduler token
+  double latency_s = 0;   ///< simulated: network plus source compute
+  double wall_s = 0;      ///< wall-clock mode: time spent in the dispatcher
+  wrapper::SubmitResult reply;  ///< the rows, or the wrapper's refusal
+  sched::QueryScheduler::ShedReason shed_reason =
+      sched::QueryScheduler::ShedReason::None;
+  uint64_t span = 0;  ///< the call's exec span (0 when untraced)
+
+  /// Rows delivered to the query: the reply's, unless the call failed.
+  size_t rows() const {
+    return outcome == Outcome::Ok ? reply.data.size() : 0;
+  }
+};
+
 /// Everything the runtime needs from the mediator.
 struct ExecContext {
   const catalog::Catalog* catalog = nullptr;
@@ -77,8 +126,8 @@ struct ExecContext {
   exec::ParallelDispatcher* dispatcher = nullptr;
   /// Per-source admission control (src/sched/); null (the default) means
   /// every call goes straight to the dispatcher. Only consulted in
-  /// wall-clock mode, and only for direct fetches — a cache hit or a
-  /// coalesced waiter never holds a token.
+  /// wall-clock mode, after the cache — a cache hit or a coalesced waiter
+  /// never holds a token.
   sched::QueryScheduler* scheduler = nullptr;
   /// Identity of the submitting query for the scheduler's fair queue
   /// (round-robin across query ids); assigned by the mediator.
@@ -93,30 +142,23 @@ struct ExecContext {
   /// the same." When set, every env-shaped row a wrapper returns is
   /// validated against its extent's interface (TypeError on mismatch).
   bool validate_rows = false;
-  /// Cost-history recording hook (§3.3: "When the exec call finishes, the
-  /// arguments of the call, the time taken and the amount of data
-  /// generated is recorded"); may be empty.
-  std::function<void(const std::string& repository,
-                     const algebra::LogicalPtr& remote, double time_s,
-                     size_t rows)>
-      record_exec;
   /// Circuit-breaker admission (src/session/): when set and returning
   /// false for a repository, the exec leaf short-circuits — its residual
   /// is emitted immediately, with no network call and no deadline wait.
   /// Consulted exactly once per source call; may be empty.
   std::function<bool(const std::string& repository)> admit_source;
-  /// Health outcome feed: every finished source call (success or final
-  /// failure) reports (repository, available, latency_s). The mediator
-  /// wires this to the SourceHealthTracker in virtual-time mode; in
-  /// wall-clock mode the dispatcher's outcome listener reports instead.
-  /// May be empty.
-  std::function<void(const std::string& repository, bool available,
-                     double latency_s)>
-      report_health;
-  /// Tracing context (src/obs/): when set, every source call records an
-  /// "exec" span (repository, remote expression, attempts, latency,
-  /// rows, outcome) and circuit refusals record "short_circuit" instants
-  /// under it. Default-off: one pointer check per site.
+  /// Observation hook, fired once for every call that reached a source
+  /// (ok, unavailable or timed out), in both modes — inline in virtual
+  /// time, on the pool thread in wall-clock mode. The mediator feeds the
+  /// health tracker and the §3.3 cost history from it ("When the exec
+  /// call finishes, the arguments of the call, the time taken and the
+  /// amount of data generated is recorded"). May be empty.
+  std::function<void(const SourceCall& call)> record_exec;
+  /// Tracing context (src/obs/): when set, every call that reaches a
+  /// wrapper records an "exec" span (repository, remote expression,
+  /// attempts, latency, rows, outcome); cache-served calls, sheds and
+  /// circuit refusals record "cache_hit", "shed" and "short_circuit"
+  /// instants. Default-off: one pointer check per site.
   obs::ObsContext obs;
   /// Columnar batch execution (src/vec/). Off by default: operators stay
   /// row-at-a-time. When enabled, exec/const leaves convert flat answer
@@ -193,20 +235,6 @@ class Runtime {
     std::optional<vec::Table> batch;
     std::vector<algebra::LogicalPtr> residuals;
   };
-  /// One source call: the wrapper's reply plus the (possibly retried)
-  /// network outcome. Produced on a pool thread in wall-clock mode.
-  struct Fetch {
-    wrapper::SubmitResult submit;
-    exec::DispatchOutcome net;
-    /// How the reply was obtained; cache-served fetches skip the health
-    /// report, cost-history record and row validation (no new source
-    /// observation was made).
-    enum class Served { Source, CacheHit, Coalesced };
-    Served served = Served::Source;
-    /// Shed by the scheduler before any network attempt: the call turns
-    /// into a §4 residual (counted separately from plain unavailability).
-    bool shed = false;
-  };
 
   Outcome eval(const PhysicalPtr& node);
   Outcome eval_exec(const Physical& node);
@@ -218,29 +246,13 @@ class Runtime {
   /// Leaf conversion: rows -> batches when vec is on and the bag is flat;
   /// otherwise keeps the rows (counting the fallback when vec is on).
   Outcome make_leaf_outcome(const std::vector<Value>& rows);
-  /// Shared exec machinery: runs `remote` at `repository` through
-  /// `wrapper_name`; on unavailability the residual is
-  /// `logical_for_residual`. `origin` identifies the plan node for
-  /// prefetch lookup (null for bind-join probes, whose remote expression
-  /// is built at eval time). `record_shape` overrides the expression the
-  /// cost history records the call under (bind-join probes record under
-  /// the plan's canonical one-key probe_shape, not the literal-laden
-  /// expression actually shipped); null records under `remote`.
-  Outcome call_source(const Physical* origin, const std::string& repository,
-                      const std::string& wrapper_name,
-                      const algebra::LogicalPtr& remote,
-                      const algebra::LogicalPtr& logical_for_residual,
-                      const algebra::LogicalPtr& record_shape = nullptr);
-  /// Wrapper submit + simulated network call, in either mode. Touches
-  /// only thread-safe components, so it can run on a pool thread. Checks
-  /// the result cache first (hit / join an identical in-flight fetch /
-  /// lead and publish); fetch_direct is the uncached machinery.
-  Fetch fetch_from_source(const std::string& repository,
-                          const std::string& wrapper_name,
-                          const algebra::LogicalPtr& remote);
-  Fetch fetch_direct(const std::string& repository,
-                     const std::string& wrapper_name,
-                     const algebra::LogicalPtr& remote);
+  /// Runs one source call start to finish in the fixed stage order and
+  /// returns the finished record. Touches only thread-safe components
+  /// and no per-run state, so it runs on a pool thread in wall-clock mode.
+  SourceCall perform(SourceCall call) const;
+  /// Derives RunStats, the trace instants and data-or-residual from a
+  /// finished call, on the query thread; throws on a wrapper refusal.
+  Outcome settle(const SourceCall& call);
   bool wall_clock_mode() const { return context_.dispatcher != nullptr; }
   /// Wall-clock mode: launch every exec leaf of `plan` onto the pool.
   void prefetch_execs(const PhysicalPtr& plan);
@@ -254,12 +266,7 @@ class Runtime {
   double max_latency_ = 0;     ///< slowest completed call
   bool any_blocked_ = false;   ///< at least one call missed the deadline
   RunStats stats_;
-  std::unordered_map<const Physical*, std::future<Fetch>> prefetched_;
-  /// Exec leaves refused by admit_source at prefetch time (wall-clock
-  /// mode) — call_source short-circuits them without consulting the
-  /// admission hook a second time (admit has trial-admission side
-  /// effects in the circuit breaker).
-  std::unordered_set<const Physical*> denied_;
+  std::unordered_map<const Physical*, std::future<SourceCall>> prefetched_;
 };
 
 }  // namespace disco::physical

@@ -25,10 +25,10 @@
 //     like any other residual.
 //
 // Interaction with the result cache's single-flight tickets: admission
-// happens inside the runtime's fetch_direct, i.e. only the fetching
-// *leader* of a coalesced flight ever holds a token — a waiter joining
-// an in-flight identical fetch blocks on the shared future, not on the
-// semaphore, so coalescing never multiplies token demand.
+// happens in Runtime::perform after the cache lookup, i.e. only the
+// fetching *leader* of a coalesced flight ever holds a token — a waiter
+// joining an in-flight identical fetch blocks on the shared future, not
+// on the semaphore, so coalescing never multiplies token demand.
 //
 // Thread safety: one mutex per endpoint (calls are coarse —
 // milliseconds of simulated network wait each); the endpoint registry

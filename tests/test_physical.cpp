@@ -228,14 +228,13 @@ TEST_F(RuntimeTest, JoinWithResidualInputTurnsWhollyResidual) {
 TEST_F(RuntimeTest, CostHistoryRecordingHookFires) {
   ExecContext ctx = context();
   int recorded = 0;
-  ctx.record_exec = [&recorded](const std::string& repo,
-                                const algebra::LogicalPtr& remote,
-                                double time_s, size_t rows) {
+  ctx.record_exec = [&recorded](const SourceCall& call) {
     ++recorded;
-    EXPECT_EQ(repo, "r0");
-    EXPECT_NE(remote, nullptr);
-    EXPECT_GT(time_s, 0.0);
-    EXPECT_EQ(rows, 1u);
+    EXPECT_EQ(call.repository, "r0");
+    EXPECT_NE(call.shape, nullptr);
+    EXPECT_EQ(call.outcome, SourceCall::Outcome::Ok);
+    EXPECT_GT(call.latency_s, 0.0);
+    EXPECT_EQ(call.rows(), 1u);
   };
   Runtime runtime(ctx);
   runtime.run(exec_get("r0", "person0", "x"));

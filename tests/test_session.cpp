@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -333,6 +334,95 @@ TEST(BreakerVirtualTest, DisabledBreakerOnlyObserves) {
   EXPECT_EQ(health.failures, 5u);
   EXPECT_EQ(health.state, session::CircuitState::Open);
   EXPECT_EQ(health.short_circuits, 0u);
+}
+
+// ------------------------------------------- one health feed, both modes ---
+
+TEST(HealthFeedTest, LatencyIncludesSourceComputeInBothModes) {
+  // A 10 ms source whose wrapper reports 5 ms of compute: health and the
+  // §3.3 cost history both observe 15 ms, whichever mode ran the call.
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("exec.workers = " + std::to_string(workers));
+    Mediator::Options options;
+    options.exec.workers = workers;
+    options.exec.latency_scale = 0.01;
+    Mediator mediator(options);
+    memdb::Database db("db");
+    db.create_table("person0", {{"id", memdb::ColumnType::Int},
+                                {"name", memdb::ColumnType::Text},
+                                {"salary", memdb::ColumnType::Int}})
+        .insert({Value::integer(1), Value::string("Mary"),
+                 Value::integer(200)});
+    auto wrapper = std::make_shared<wrapper::MemDbWrapper>();
+    wrapper->attach_database("r0", &db);
+    wrapper->set_cost_model({.enabled = true,
+                             .base_s = 0.005,
+                             .per_row_scanned_s = 0,
+                             .per_index_probe_s = 0});
+    mediator.register_wrapper("w0", std::move(wrapper));
+    mediator.register_repository(
+        catalog::Repository{"r0", "h", "db", "1.1.1.1"},
+        net::LatencyModel{0.010, 0, 0});
+    mediator.execute_odl(R"(
+      interface Person { attribute Long id; attribute String name;
+                         attribute Short salary; };
+      extent person0 of Person wrapper w0 repository r0;
+    )");
+    const std::string query = "select x.name from x in person0";
+    ASSERT_TRUE(mediator.query(query).complete());
+
+    EXPECT_NEAR(mediator.source_health("r0").latency_ewma_s, 0.015, 1e-9);
+    Mediator::ExplainReport report = mediator.explain_report(query);
+    ASSERT_EQ(report.submits.size(), 1u);
+    EXPECT_EQ(report.submits[0].learned.observations, 1u);
+    EXPECT_NEAR(report.submits[0].learned.time_s, 0.015, 1e-9);
+  }
+}
+
+TEST(HealthFeedTest, CacheServedAndShedCallsAreNotObserved) {
+  const std::string query = "select x.name from x in person";
+
+  // A fully cache-served warm query made no source observation: neither
+  // the health tracker nor the cost history hears of it.
+  Mediator::Options cached;
+  cached.cache.enabled = true;
+  PaperWorld world(cached);
+  ASSERT_TRUE(world.mediator.query(query).complete());
+  const uint64_t successes = world.mediator.source_health("r0").successes;
+  ASSERT_GT(successes, 0u);
+  Mediator::ExplainReport cold = world.mediator.explain_report(query);
+  ASSERT_FALSE(cold.submits.empty());
+
+  Answer warm = world.mediator.query(query);
+  ASSERT_TRUE(warm.complete());
+  ASSERT_GT(warm.stats().run.exec_calls, 0u);
+  ASSERT_EQ(warm.stats().run.cache_hits, warm.stats().run.exec_calls);
+  EXPECT_EQ(world.mediator.source_health("r0").successes, successes);
+  Mediator::ExplainReport after = world.mediator.explain_report(query);
+  ASSERT_EQ(after.submits.size(), cold.submits.size());
+  for (size_t i = 0; i < cold.submits.size(); ++i) {
+    EXPECT_EQ(after.submits[i].learned.observations,
+              cold.submits[i].learned.observations)
+        << cold.submits[i].repository;
+  }
+
+  // A call shed by the scheduler never reached its source, so it is no
+  // health failure: r0's only token is held and its queue holds nobody.
+  Mediator::Options sched;
+  sched.exec.workers = 4;
+  sched.exec.latency_scale = 0.01;
+  sched.sched.enabled = true;
+  sched.sched.per_endpoint_limit = 1;
+  sched.sched.queue_capacity = 0;
+  PaperWorld busy(sched);
+  sched::QueryScheduler::Admission held = busy.mediator.scheduler()->admit(
+      "r0", /*query_id=*/9999, std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(held.admitted);
+  Answer partial = busy.mediator.query(query);
+  EXPECT_FALSE(partial.complete());
+  EXPECT_EQ(partial.stats().run.shed_calls, 1u);
+  EXPECT_EQ(busy.mediator.source_health("r0").failures, 0u);
+  EXPECT_EQ(busy.mediator.source_health("r1").successes, 1u);
 }
 
 // -------------------------------------------------- sessions (stub runner) ---

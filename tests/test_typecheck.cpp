@@ -158,6 +158,34 @@ TEST(RowValidation, MismatchedSourceDataRejectedAtRuntime) {
   EXPECT_NO_THROW(lax.query("select x.name from x in person0"));
 }
 
+TEST(RowValidation, CachedRepliesAreValidatedBeforePublish) {
+  // With the result cache on, an ill-typed reply must be rejected before
+  // it is published: every run of the query throws, and nothing reaches
+  // the cache for a later run to serve unchecked.
+  memdb::Database db("db");
+  auto& t = db.create_table("person0", {{"name", memdb::ColumnType::Text},
+                                        {"salary", memdb::ColumnType::Text}});
+  t.insert({Value::string("Mary"), Value::string("lots")});
+  Mediator::Options options;
+  options.validate_source_rows = true;
+  options.cache.enabled = true;
+  Mediator m(options);
+  auto w = std::make_shared<wrapper::MemDbWrapper>(
+      grammar::CapabilitySet{.get = true});
+  w->attach_database("r0", &db);
+  m.register_wrapper("w0", std::move(w));
+  m.register_repository(catalog::Repository{"r0", "h", "db", "1.1.1.1"});
+  m.execute_odl(R"(
+    interface Person { attribute String name; attribute Short salary; };
+    extent person0 of Person wrapper w0 repository r0;
+  )");
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_THROW(m.query("select x.name from x in person0"), TypeError)
+        << "run " << run;
+  }
+  EXPECT_EQ(m.cache_stats().insertions, 0u);
+}
+
 TEST(RowValidation, ConformingRowsPass) {
   disco::testing::PaperWorld clean;
   Mediator::Options options;
