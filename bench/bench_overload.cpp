@@ -5,19 +5,24 @@
 // The federation: four fast person databases (~10ms simulated) on their
 // own repositories, plus one slow repository `slow0` (~250ms simulated)
 // hosting eight archive extents. Slow-client threads hammer the archive
-// while fast-client threads run person queries over the same shared
-// worker pool.
+// while fast-client threads run person queries through the same
+// mediator.
 //
-//   * scheduler off — every archive fan-out parks eight ~250ms calls on
-//     the pool; fast calls queue behind them and the fast p99 balloons.
+//   * scheduler off — every archive fan-out sends eight ~250ms calls to
+//     `slow0`, as many at once as the slow clients ask for. Their waits
+//     hold no compute worker (the dispatcher's timer thread waits them
+//     out), so fast queries do not queue behind them.
 //   * scheduler on — `slow0` is capped at 2 in-flight calls with a
 //     zero-length queue: excess archive calls shed instantly into §4
 //     residuals (the slow answers come back partial, completable later
-//     by resubmission), the pool stays free, and the fast p99 collapses.
+//     by resubmission), and the slow source never sees more than its
+//     limit.
 //
-// Measured: p50/p99 of the fast queries in both configurations plus the
-// shed/admission counters. Results go to BENCH_overload.json (or
-// argv[1]).
+// The bar: with the scheduler on, slow0 stays at or below its limit in
+// flight, the excess is shed, and no fast query is incomplete in either
+// configuration. Measured: p50/p99 of the fast queries in both
+// configurations plus the shed/admission counters; the p99 ratio is
+// reported, not gated. Results go to BENCH_overload.json (or argv[1]).
 //
 //   build/bench/bench_overload
 #include <algorithm>
@@ -132,7 +137,7 @@ Mediator::Options bench_options(bool sched_on) {
   // Fast repositories see at most kFastClients concurrent calls; a
   // generous default limit keeps them unconstrained while slow0 is
   // pinned to kSlowLimit with a zero-length queue, so excess archive
-  // calls shed immediately instead of parking a pool worker.
+  // calls shed immediately instead of waiting for a token.
   options.sched.per_endpoint_limit = 16;
   options.sched.limits["slow0"] = kSlowLimit;
   options.sched.queue_capacity = 0;
@@ -289,14 +294,14 @@ int main(int argc, char** argv) {
 
   const double improvement =
       on.fast_p99_ms > 0 ? off.fast_p99_ms / on.fast_p99_ms : 0.0;
-  std::printf("\nfast-query p99 improvement (sched on vs off): %.2fx\n",
+  std::printf("\nfast-query p99 ratio (sched off / on): %.2fx\n",
               improvement);
 
   write_json(argc > 1 ? argv[1] : "BENCH_overload.json", off, on,
              improvement);
   const bool sane = off.fast_incomplete == 0 && on.fast_incomplete == 0 &&
                     on.shed > 0 && on.slow_max_in_flight <= kSlowLimit &&
-                    on.slow_max_in_flight > 0 && improvement >= 2.0;
+                    on.slow_max_in_flight > 0;
   if (!sane) std::printf("SANITY FAILURE: see counters above\n");
   return sane ? 0 : 1;
 }

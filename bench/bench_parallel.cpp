@@ -5,11 +5,15 @@
 // bench makes the parallelism real: an 8-source fan-out query where
 // every source sits ~5ms (simulated, replayed in wall time) away, run
 //
-//   * sequentially (workers=1: the wall-clock path, one call at a time),
-//   * fanned out   (workers=4: calls overlap on the thread pool),
+//   * on one compute worker  (workers=1),
+//   * on four compute workers (workers=4),
 //
 // plus the virtual-time baseline (workers=0, no wall waits at all) and a
-// multi-client throughput section on the shared pool.
+// multi-client throughput section on the shared pool. The workers only
+// run each call's CPU part; the dispatcher's timer thread waits out the
+// latencies, so even one worker overlaps the fan-out's waits. The bar:
+// at workers=1 the fan-out takes at most half the sum of its calls'
+// latencies (running the calls one after another takes all of it).
 //
 // With a path argument the results are also written as JSON — including
 // the per-stage span timings (parse/optimize/execute) read back from an
@@ -69,22 +73,25 @@ int main(int argc, char** argv) {
               virtual_world->mediator.query(kQuery).stats().run.elapsed_s *
                   1e3);
 
-  // Wall-clock, serialized: one worker drains the fan-out one call at a
-  // time, so the query costs ~ sum of the source latencies.
+  // Wall-clock on one worker: it runs the calls' CPU parts one at a
+  // time while their waits overlap on the timer thread.
   auto serial_world = world_with(1);
   auto [serial_wall, serial_rows] = time_queries(serial_world->mediator);
-  std::printf("%-22s %10.2f ms wall\n", "workers=1 (serial)",
-              serial_wall * 1e3);
+  // Sum of the calls' latencies per query (latency_scale 1: wall = sim).
+  const double latency_sum =
+      serial_world->mediator.exec_metrics().sim_latency_s / kRepeats;
+  const bool overlapped = serial_wall <= 0.5 * latency_sum;
+  std::printf("%-22s %10.2f ms wall   (sum of call latencies %.2f ms) %s\n",
+              "workers=1", serial_wall * 1e3, latency_sum * 1e3,
+              overlapped ? "(<= half)" : "(above half the sum!)");
 
-  // Wall-clock, fanned out: the pool overlaps the source waits.
+  // Wall-clock on four workers: more CPU parts run at once.
   auto parallel_world = world_with(4);
   auto [parallel_wall, parallel_rows] = time_queries(parallel_world->mediator);
-  std::printf("%-22s %10.2f ms wall\n", "workers=4 (parallel)",
-              parallel_wall * 1e3);
+  std::printf("%-22s %10.2f ms wall\n", "workers=4", parallel_wall * 1e3);
 
   const double speedup = serial_wall / parallel_wall;
-  std::printf("\nspeedup (workers=4 vs workers=1): %.2fx  %s\n", speedup,
-              speedup >= 2.0 ? "(>= 2x)" : "(below the 2x target!)");
+  std::printf("\nspeedup (workers=4 vs workers=1): %.2fx\n", speedup);
   if (rows != serial_rows || rows != parallel_rows) {
     std::printf("ROW MISMATCH: virtual=%zu serial=%zu parallel=%zu\n", rows,
                 serial_rows, parallel_rows);
@@ -92,7 +99,8 @@ int main(int argc, char** argv) {
   }
 
   // Multi-client throughput: 8 application threads hammer the workers=4
-  // mediator; the shared pool bounds total source-call parallelism.
+  // mediator; the shared pool bounds how many calls' CPU parts run at
+  // once, not how many calls wait.
   const size_t kClients = 8;
   const int kQueriesPerClient = 10;
   parallel_world->mediator.network().reset_stats();
@@ -184,6 +192,7 @@ int main(int argc, char** argv) {
         "  \"latency_ms\": %.3f,\n"
         "  \"virtual_ms\": %.3f,\n"
         "  \"serial_ms\": %.3f,\n"
+        "  \"serial_latency_sum_ms\": %.3f,\n"
         "  \"parallel_ms\": %.3f,\n"
         "  \"speedup\": %.3f,\n"
         "  \"throughput_qps\": %.1f,\n"
@@ -198,12 +207,13 @@ int main(int argc, char** argv) {
         "  }\n"
         "}\n",
         kSources, kLatency.base_s * 1e3, virtual_wall * 1e3,
-        serial_wall * 1e3, parallel_wall * 1e3, speedup, total / elapsed,
+        serial_wall * 1e3, latency_sum * 1e3, parallel_wall * 1e3, speedup,
+        total / elapsed,
         obs_off_s * 1e3, obs_off_repeat_s * 1e3, disabled_delta_pct,
         obs_on_s * 1e3, obs_overhead_pct, stage_parse_ms,
         stage_optimize_ms, stage_execute_ms);
     std::fclose(out);
     std::printf("wrote %s\n", argv[1]);
   }
-  return speedup >= 2.0 ? 0 : 1;
+  return overlapped ? 0 : 1;
 }

@@ -17,10 +17,9 @@ ctest --test-dir "$repo/build" -L concurrency --output-on-failure
 if [[ "${DISCO_TSAN:-0}" != "0" ]]; then
   echo "== ThreadSanitizer pass (concurrency label) =="
   cmake -B "$repo/build-tsan" -S "$repo" -DDISCO_SANITIZE=thread
-  cmake --build "$repo/build-tsan" -j "$(nproc)" \
-    --target test_exec test_session test_obs test_cache test_sched \
-             test_server test_fedcat test_vec_differential \
-             test_memdb_concurrency test_doc_differential
+  # concurrency_suites (tests/CMakeLists.txt) is every suite whose ctest
+  # label matches `concurrency`.
+  cmake --build "$repo/build-tsan" -j "$(nproc)" --target concurrency_suites
   ctest --test-dir "$repo/build-tsan" -L concurrency --output-on-failure
 fi
 

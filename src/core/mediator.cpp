@@ -100,8 +100,9 @@ Mediator::Mediator(Options options)
   if (scheduler_ != nullptr) {
     // A circuit opened: every call queued for that endpoint is waiting
     // for a source now known to be dark — shed them into §4 residuals
-    // immediately instead of letting them burn pool workers until their
-    // queueing deadline.
+    // immediately, so their queries get their partial answers now and
+    // the compute-pool workers blocked in admission are free again,
+    // instead of both waiting out the queueing deadline.
     tracker_->add_listener([this](const std::string& repository,
                                   session::CircuitState,
                                   session::CircuitState to) {
@@ -118,11 +119,12 @@ Mediator::Mediator(Options options)
     static const algebra::LogicalPtr kProbeSignature =
         algebra::get("__health_probe", "p");
     prober_ = std::make_unique<session::Prober>(
-        tracker_.get(), pool_.get(),
+        tracker_.get(),
         options_.health.probe_interval_s * options_.exec.latency_scale,
-        [this](const std::string& repository) {
-          return dispatcher_->probe(repository, clock_.now(),
-                                    options_.health.probe_deadline_s);
+        [this](const std::string& repository, session::Prober::Done done) {
+          dispatcher_->probe(repository, clock_.now(),
+                             options_.health.probe_deadline_s,
+                             std::move(done));
         },
         [this](const std::string& repository,
                const exec::DispatchOutcome& outcome) {
@@ -336,13 +338,18 @@ physical::ExecContext Mediator::make_context(
   context.metrics = options_.vec.enabled ? registry_ : nullptr;
   // One feed in both modes: every call that reached a source reports its
   // health outcome (tracked even when breaking is disabled — passive
-  // monitoring) and, when it answered, its §3.3 cost observation.
+  // monitoring) and, when a reply came, its §3.3 cost observation. A
+  // reply that would land past the deadline is recorded too, with its
+  // true latency and the rows the wrapper computed: otherwise a plan
+  // too slow for the deadline is never priced, and resubmission picks
+  // it again forever.
   context.record_exec = [this](const physical::SourceCall& call) {
-    const bool ok = call.outcome == physical::SourceCall::Outcome::Ok;
+    using Outcome = physical::SourceCall::Outcome;
+    const bool ok = call.outcome == Outcome::Ok;
     tracker_->on_outcome(call.repository, ok, call.latency_s);
-    if (ok) {
+    if (ok || call.outcome == Outcome::Timeout) {
       history_.record(call.repository, call.shape, call.latency_s,
-                      call.rows());
+                      call.reply.data.size());
     }
   };
   if (options_.health.enabled) {

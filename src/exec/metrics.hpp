@@ -39,7 +39,7 @@ struct MetricsSnapshot {
   uint64_t shed = 0;         ///< calls shed by the scheduler (→ residuals)
   double queue_wait_s = 0;   ///< summed simulated seconds spent queued
   double sim_latency_s = 0;  ///< summed simulated latency of successes
-  double wall_s = 0;         ///< summed wall time inside dispatch calls
+  double wall_s = 0;         ///< summed wall time from dispatch to landing
 
   std::string to_string() const {
     return "dispatched=" + std::to_string(dispatched) +

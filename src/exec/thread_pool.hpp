@@ -3,15 +3,17 @@
 // The paper issues the exec calls of a plan "in parallel" (§4). In
 // virtual-time mode that parallelism is an accounting fiction (the
 // runtime takes the max over call latencies); in wall-clock mode
-// (ExecOptions::workers > 0) it is real: the ParallelDispatcher fans
-// source calls out across this pool, so a mediator overlaps the network
-// wait and the wrapper CPU work of independent sources.
+// (ExecOptions::workers > 0) it is real: this pool runs the CPU part of
+// each source call (breaker, cache lookup, wrapper submit, admission),
+// and the ParallelDispatcher's timer thread waits out the network, so a
+// mediator overlaps the wrapper CPU work of independent sources on the
+// pool and their network waits without bound.
 //
 // Deliberately simple: a mutex + condition variable around a FIFO of
-// type-erased tasks, no work stealing, no dynamic sizing. Source calls
-// are coarse (milliseconds of simulated network wait each), so queue
-// contention is negligible and a deterministic FIFO keeps behaviour easy
-// to reason about under ThreadSanitizer.
+// type-erased tasks, no work stealing, no dynamic sizing. Tasks are
+// coarse (a wrapper submit each), so queue contention is negligible and
+// a deterministic FIFO keeps behaviour easy to reason about under
+// ThreadSanitizer.
 #pragma once
 
 #include <condition_variable>

@@ -118,6 +118,7 @@ void Trace::end(uint64_t span_id) {
   Span& span = spans_[span_id - 1];
   if (span.instant || span.end_s >= 0) return;  // already closed
   span.end_s = now_s();
+  span.async = thread_index_locked() != span.tid;
   events_.push_back({Event::Phase::End, span_id - 1, span.end_s});
 }
 
@@ -209,11 +210,13 @@ std::string Trace::to_json() const {
     const Span& span = spans_[event.span_index];
     switch (event.phase) {
       case Event::Phase::Begin:
-        emit_common(span, "B", event.ts_s);
+        emit_common(span, span.async ? "b" : "B", event.ts_s);
+        if (span.async) out << ",\"id\":" << span.id;
         emit_args(span);
         break;
       case Event::Phase::End:
-        emit_common(span, "E", event.ts_s);
+        emit_common(span, span.async ? "e" : "E", event.ts_s);
+        if (span.async) out << ",\"id\":" << span.id;
         break;
       case Event::Phase::Instant:
         emit_common(span, "i", event.ts_s);

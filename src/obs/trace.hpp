@@ -13,12 +13,15 @@
 // Output forms:
 //   * to_json()          — Chrome trace format (chrome://tracing /
 //                          Perfetto loadable): paired B/E duration events
-//                          plus "i" instant events, ts in microseconds.
+//                          (b/e async pairs for spans that end on another
+//                          thread) plus "i" instant events, ts in
+//                          microseconds.
 //   * to_compact_json()  — a nested {name, cat, start/dur, tags,
 //                          children} tree for programmatic consumers.
 //
 // Thread safety: begin/end/tag/instant may be called from any thread
-// (exec spans are recorded on dispatcher pool threads). All mutation sits
+// (a wall-clock exec span begins on a pool thread and ends on the
+// dispatcher's timer thread). All mutation sits
 // under one mutex; the timestamp is read inside the critical section, so
 // event sequence order and timestamp order always agree — to_json()
 // output is monotone by construction.
@@ -48,6 +51,10 @@ struct Span {
   double end_s = -1;     ///< < 0 while still open
   uint64_t tid = 0;      ///< per-trace dense thread index
   bool instant = false;
+  /// Ended on another thread than the one that began it (a wall-clock
+  /// exec span ends when its call lands), so it may overlap spans begun
+  /// after it on its lane: Chrome JSON writes it as an async b/e pair.
+  bool async = false;
   std::vector<std::pair<std::string, std::string>> tags;
 
   double duration_s() const { return end_s < 0 ? 0 : end_s - start_s; }

@@ -162,14 +162,13 @@ RunResult Runtime::run(const PhysicalPtr& plan) {
 
 void Runtime::prefetch_execs(const PhysicalPtr& plan) {
   switch (plan->op) {
-    case POp::Exec: {
-      PhysicalPtr node = plan;  // keep the node alive inside the task
-      if (prefetched_.contains(node.get())) return;  // shared subplan
-      prefetched_.emplace(node.get(), context_.dispatcher->async([this, node] {
-        return perform(exec_call(*node, node->remote, node->remote));
-      }));
+    case POp::Exec:
+      if (prefetched_.contains(plan.get())) return;  // shared subplan
+      prefetched_.emplace(
+          plan.get(),
+          launch(exec_call(*plan, plan->remote, plan->remote),
+                 /*on_pool=*/true));
       return;
-    }
     case POp::Filter:
     case POp::Project:
       prefetch_execs(plan->child);
@@ -325,30 +324,142 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
 Runtime::Outcome Runtime::eval_exec(const Physical& node) {
   auto it = prefetched_.find(&node);
   if (it == prefetched_.end()) {
-    return settle(perform(exec_call(node, node.remote, node.remote)));
+    return settle(run_call(exec_call(node, node.remote, node.remote)));
   }
   std::future<SourceCall> future = std::move(it->second);
   prefetched_.erase(it);
-  return settle(future.get());  // rethrows pool-thread exceptions here
+  return settle(future.get());  // rethrows pool and landing exceptions here
 }
 
-SourceCall Runtime::perform(SourceCall call) const {
+struct Runtime::Flight {
+  SourceCall call;
+  obs::ScopedSpan span;  ///< the call's exec span, once it reached perform's
+                         ///< wrapper stage
+  cache::ResultCache::Ticket ticket;      ///< set when this call leads
+  sched::QueryScheduler::Permit permit;   ///< set once admitted
+
+  /// Ends the span and drops the ticket (abandoning it unless published)
+  /// and the token.
+  void release() {
+    span.finish();
+    ticket = {};
+    permit.release();
+  }
+};
+
+SourceCall Runtime::run_call(SourceCall call) {
+  if (wall_clock_mode()) {
+    return launch(std::move(call), /*on_pool=*/false).get();
+  }
+  Flight flight;
+  flight.call = std::move(call);
+  if (perform(flight)) {
+    SourceCall& c = flight.call;
+    const net::CallOutcome net =
+        context_.network->call(c.repository, c.reply.data.size(),
+                               issue_time_);
+    c.attempts = 1;
+    // Source compute (the wrapper's opt-in cost model) delays the reply
+    // exactly like wire time: it is part of the observed latency in both
+    // modes, and in virtual time it counts against the §4 deadline.
+    c.latency_s = net.latency_s + c.reply.compute_s;
+    c.outcome = !net.available ? SourceCall::Outcome::Unavailable
+                : c.latency_s > context_.deadline_s
+                    ? SourceCall::Outcome::Timeout
+                    : SourceCall::Outcome::Ok;
+    land(flight);
+  }
+  return std::move(flight.call);
+}
+
+std::future<SourceCall> Runtime::launch(SourceCall call, bool on_pool) {
+  // Shared by the task running perform and the dispatcher's landing.
+  struct Launch {
+    Flight flight;
+    std::promise<SourceCall> done;
+  };
+  auto shared = std::make_shared<Launch>();
+  shared->flight.call = std::move(call);
+  std::future<SourceCall> future = shared->done.get_future();
+
+  // Whoever finishes the call — this task, or the landing on the timer
+  // thread — is done with every span, ticket, token and Runtime member
+  // before it fulfils the promise: the query thread may destroy this
+  // Runtime the moment the future is ready.
+  auto finish = [](Launch& l, std::exception_ptr error) {
+    l.flight.release();
+    if (error) {
+      l.done.set_exception(error);
+    } else {
+      l.done.set_value(std::move(l.flight.call));
+    }
+  };
+  auto start = [this, shared, finish] {
+    std::exception_ptr error;
+    try {
+      if (perform(shared->flight)) {
+        // Time spent queued counts against the query deadline.
+        const SourceCall& c = shared->flight.call;
+        double remaining = context_.deadline_s;
+        if (std::isfinite(remaining)) {
+          remaining = std::max(0.0, remaining - c.queued_s);
+        }
+        context_.dispatcher->call(
+            c.repository, c.reply.data.size(), issue_time_, remaining,
+            shared->flight.span.context(),
+            [this, shared, finish](const exec::DispatchOutcome& net) {
+              SourceCall& landed = shared->flight.call;
+              landed.attempts = net.attempts;
+              landed.wall_s = net.wall_s;
+              landed.latency_s = net.latency_s + landed.reply.compute_s;
+              // A Timeout carries the late reply's latency; a call the
+              // deadline ended before any reply is Unavailable.
+              landed.outcome =
+                  net.available ? SourceCall::Outcome::Ok
+                  : net.latency_s > 0 ? SourceCall::Outcome::Timeout
+                                      : SourceCall::Outcome::Unavailable;
+              std::exception_ptr landing_error;
+              try {
+                land(shared->flight);
+              } catch (...) {
+                landing_error = std::current_exception();
+              }
+              finish(*shared, landing_error);
+            });
+        return;  // the landing finishes the call; touch nothing more
+      }
+    } catch (...) {
+      error = std::current_exception();
+    }
+    finish(*shared, error);
+  };
+  if (on_pool) {
+    context_.dispatcher->async(std::move(start));
+  } else {
+    start();
+  }
+  return future;
+}
+
+bool Runtime::perform(Flight& flight) const {
+  SourceCall& call = flight.call;
   // Circuit breaker (src/session/): a refused source turns residual with
   // no wrapper work, no network call and no deadline wait. Consulted
   // exactly once per call, here, because admission has trial side effects
   // in HalfOpen.
   if (context_.admit_source && !context_.admit_source(call.repository)) {
     call.outcome = SourceCall::Outcome::ShortCircuit;
-    return call;
+    return false;
   }
 
   // Result cache (src/cache/): a stored reply, or an identical in-flight
   // fetch to join, makes no new source observation. Otherwise this call
-  // leads and publishes below; a failed or throwing leader abandons the
-  // ticket and its waiters re-race — residual outcomes are never cached.
-  cache::ResultCache::Lookup lookup;
+  // leads and publishes when it lands; a failed or throwing leader
+  // abandons the ticket and its waiters re-race — residual outcomes are
+  // never cached.
   if (context_.cache != nullptr) {
-    lookup = context_.cache->get_or_begin(call.repository, call.remote);
+    cache::ResultCache::Lookup lookup =
+        context_.cache->get_or_begin(call.repository, call.remote);
     if (lookup.kind != cache::ResultCache::LookupKind::Lead) {
       // The reply is shared-immutable, so handing the same Value to many
       // query threads is safe. Zero latency: a cached answer is faster
@@ -361,14 +472,16 @@ SourceCall Runtime::perform(SourceCall call) const {
       if (coalesced && wall_clock_mode()) {
         context_.dispatcher->metrics().on_coalesced();
       }
-      return call;
+      return false;
     }
+    flight.ticket = std::move(lookup.ticket);
   }
 
-  // One span per call that reaches the wrapper, recorded on whatever
-  // thread runs the call (a pool thread in wall-clock mode) — the trace's
-  // per-thread lanes show dispatch overlap directly.
-  obs::ScopedSpan span(context_.obs, "exec", "exec");
+  // One span per call that reaches the wrapper, begun on whatever thread
+  // runs perform (a pool thread in wall-clock mode) and ended when the
+  // call lands — the trace's per-thread lanes show dispatch overlap.
+  obs::ScopedSpan& span = flight.span;
+  span = obs::ScopedSpan(context_.obs, "exec", "exec");
   call.span = span.id();
   if (span) {
     span.tag("repository", call.repository);
@@ -392,58 +505,36 @@ SourceCall Runtime::perform(SourceCall call) const {
       wrapper::bindings_for(call.remote, *context_.catalog));
   if (call.reply.status == wrapper::SubmitResult::Status::Refused) {
     call.outcome = SourceCall::Outcome::Refused;
-    return call;
+    return false;
   }
 
-  // Source compute (the wrapper's opt-in cost model) delays the reply
-  // exactly like wire time: it is part of the observed latency in both
-  // modes, and in virtual time it counts against the §4 deadline.
-  const size_t rows = call.reply.data.size();
-  if (wall_clock_mode()) {
-    // Per-source admission control (src/sched/): only a call that got
-    // past the cache ever holds a token. A shed admission converts the
-    // call into a §4 residual without any network attempt.
-    sched::QueryScheduler::Admission admission;
-    if (context_.scheduler != nullptr) {
-      admission = context_.scheduler->admit(
-          call.repository, context_.query_id, context_.deadline_s);
-      call.queued_s = admission.queued_s;
-      if (span && call.queued_s > 0) span.tag("queued_s", call.queued_s);
-      if (!admission.admitted) {
-        call.outcome = SourceCall::Outcome::Shed;
-        call.shed_reason = admission.shed_reason;
-        span.tag("outcome", "shed");
-        return call;
-      }
+  // Per-source admission control (src/sched/, wall-clock mode only):
+  // only a call that got past the cache ever holds a token. A shed
+  // admission converts the call into a §4 residual without any network
+  // attempt.
+  if (wall_clock_mode() && context_.scheduler != nullptr) {
+    sched::QueryScheduler::Admission admission = context_.scheduler->admit(
+        call.repository, context_.query_id, context_.deadline_s);
+    call.queued_s = admission.queued_s;
+    if (span && call.queued_s > 0) span.tag("queued_s", call.queued_s);
+    if (!admission.admitted) {
+      call.outcome = SourceCall::Outcome::Shed;
+      call.shed_reason = admission.shed_reason;
+      span.tag("outcome", "shed");
+      return false;
     }
-    // Retry/backoff/deadline semantics live in the dispatcher; the wait
-    // for the (scaled) simulated latency really happens. Time spent
-    // queued counts against the query deadline.
-    double remaining = context_.deadline_s;
-    if (std::isfinite(remaining)) {
-      remaining = std::max(0.0, remaining - call.queued_s);
-    }
-    const exec::DispatchOutcome net = context_.dispatcher->call(
-        call.repository, rows, issue_time_, remaining, span.context());
-    admission.permit.release();
-    call.attempts = net.attempts;
-    call.wall_s = net.wall_s;
-    call.latency_s = net.latency_s + call.reply.compute_s;
-    call.outcome = net.available   ? SourceCall::Outcome::Ok
-                   : net.timed_out ? SourceCall::Outcome::Timeout
-                                   : SourceCall::Outcome::Unavailable;
-  } else {
-    const net::CallOutcome net =
-        context_.network->call(call.repository, rows, issue_time_);
-    call.attempts = 1;
-    call.latency_s = net.latency_s + call.reply.compute_s;
-    call.outcome = !net.available ? SourceCall::Outcome::Unavailable
-                   : call.latency_s > context_.deadline_s
-                       ? SourceCall::Outcome::Timeout
-                       : SourceCall::Outcome::Ok;
+    flight.permit = std::move(admission.permit);
   }
+  return true;
+}
+
+void Runtime::land(Flight& flight) const {
+  SourceCall& call = flight.call;
+  // The source's token is free the moment its reply is in.
+  flight.permit.release();
 
   // The one observation site, for every call that reached a source.
+  obs::ScopedSpan& span = flight.span;
   if (span) {
     span.tag("attempts", static_cast<uint64_t>(call.attempts));
     span.tag("sim_latency_s", call.latency_s);
@@ -455,16 +546,15 @@ SourceCall Runtime::perform(SourceCall call) const {
                                                             : "unavailable");
   }
   if (context_.record_exec) context_.record_exec(call);
-  if (call.outcome != SourceCall::Outcome::Ok) return call;
+  if (call.outcome != SourceCall::Outcome::Ok) return;
   if (context_.validate_rows) {
     check_rows(*context_.catalog, call.remote, call.reply.data);
   }
-  if (lookup.ticket) {
-    context_.cache->publish(lookup.ticket,
+  if (flight.ticket) {
+    context_.cache->publish(flight.ticket,
                             cache::CachedResult{call.reply.data,
                                                 call.latency_s});
   }
-  return call;
 }
 
 Runtime::Outcome Runtime::settle(const SourceCall& call) {
@@ -757,7 +847,8 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
   // probe_shape (one placeholder key), not under the literal-laden
   // disjunction — so future optimizations can ask "what does a bound
   // probe cost here" and observe indexed probes coming back fast.
-  Outcome right = settle(perform(exec_call(node, remote, node.probe_shape)));
+  Outcome right =
+      settle(run_call(exec_call(node, remote, node.probe_shape)));
   if (!right.residuals.empty()) {
     out.residuals.push_back(node.logical);
     return out;

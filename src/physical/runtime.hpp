@@ -27,15 +27,16 @@
 //   * union concatenates.
 // The final answer is union(residuals..., data) — a query again.
 //
-// One source call is one SourceCall record, filled by Runtime::perform
-// in a fixed order: circuit breaker, result cache, wrapper submit,
-// scheduler, network. Calls that reached a source are observed at one
-// site at the end (health and §3.3 cost history through
-// ExecContext::record_exec, §2.1 row validation, exec-span tags) before
-// the cache publishes the reply; breaker refusals, cache-served, shed
-// and wrapper-refused calls return earlier and are never observed.
-// Runtime::settle then turns the finished record into RunStats, trace
-// instants and data-or-residual, on the query thread.
+// One source call is one SourceCall record, filled in a fixed order:
+// Runtime::perform runs the CPU part (circuit breaker, result cache,
+// wrapper submit, scheduler admission), then the network answers, then
+// Runtime::land runs the one observation site (health and §3.3 cost
+// history through ExecContext::record_exec, §2.1 row validation,
+// exec-span tags) before the cache publishes the reply. Breaker
+// refusals, cache-served, shed and wrapper-refused calls end in perform
+// and are never observed. Runtime::settle then turns the finished record
+// into RunStats, trace instants and data-or-residual, on the query
+// thread.
 //
 // Two execution modes share this path and the operator code (DESIGN.md
 // §2, "Execution concurrency"):
@@ -43,10 +44,12 @@
 //     deterministic simulation — calls run inline and sequentially,
 //     parallelism is accounted as max over latencies, the VirtualClock
 //     advances;
-//   * wall-clock (dispatcher set): exec leaves are prefetched onto the
-//     dispatcher's thread pool (perform runs there), simulated latency is
-//     actually waited out, blips are retried with backoff, and elapsed
-//     time is measured.
+//   * wall-clock (dispatcher set): perform runs for every exec leaf on
+//     the dispatcher's compute pool (prefetch), and for a bind-join probe
+//     on the query thread; the dispatcher then waits out the simulated
+//     latency on its timer thread, retrying blips with backoff, and land
+//     runs there when the reply lands, before it fulfils the future the
+//     query thread waits on. Elapsed time is measured.
 #pragma once
 
 #include <cmath>
@@ -80,7 +83,8 @@ namespace disco::physical {
 struct SourceCall {
   enum class Outcome {
     Ok,
-    Unavailable,   ///< the source was down (after any retries)
+    Unavailable,   ///< no reply: the source was down (after any retries),
+                   ///< or the deadline passed before it answered
     Timeout,       ///< the reply would land past the §4 deadline
     Shed,          ///< the scheduler shed the call before the network
     ShortCircuit,  ///< an open circuit refused the call
@@ -99,8 +103,9 @@ struct SourceCall {
   Outcome outcome = Outcome::Ok;
   uint32_t attempts = 0;  ///< network rounds; 0 if the network was not reached
   double queued_s = 0;    ///< simulated seconds waiting for a scheduler token
-  double latency_s = 0;   ///< simulated: network plus source compute
-  double wall_s = 0;      ///< wall-clock mode: time spent in the dispatcher
+  double latency_s = 0;   ///< simulated: network plus source compute; for a
+                          ///< Timeout, the late reply's
+  double wall_s = 0;      ///< wall-clock mode: dispatch to landing
   wrapper::SubmitResult reply;  ///< the rows, or the wrapper's refusal
   sched::QueryScheduler::ShedReason shed_reason =
       sched::QueryScheduler::ShedReason::None;
@@ -149,7 +154,8 @@ struct ExecContext {
   std::function<bool(const std::string& repository)> admit_source;
   /// Observation hook, fired once for every call that reached a source
   /// (ok, unavailable or timed out), in both modes — inline in virtual
-  /// time, on the pool thread in wall-clock mode. The mediator feeds the
+  /// time, on the dispatcher's timer thread in wall-clock mode, where it
+  /// must not block. The mediator feeds the
   /// health tracker and the §3.3 cost history from it ("When the exec
   /// call finishes, the arguments of the call, the time taken and the
   /// amount of data generated is recorded"). May be empty.
@@ -246,18 +252,36 @@ class Runtime {
   /// Leaf conversion: rows -> batches when vec is on and the bag is flat;
   /// otherwise keeps the rows (counting the fallback when vec is on).
   Outcome make_leaf_outcome(const std::vector<Value>& rows);
-  /// Runs one source call start to finish in the fixed stage order and
-  /// returns the finished record. Touches only thread-safe components
-  /// and no per-run state, so it runs on a pool thread in wall-clock mode.
-  SourceCall perform(SourceCall call) const;
+  /// A source call between its stages: the record plus the exec span,
+  /// the cache leader's ticket and the scheduler token it holds until
+  /// it lands.
+  struct Flight;
+  /// Runs one call to its finished record on the calling thread: inline
+  /// in virtual time; in wall-clock mode it waits for the landing.
+  SourceCall run_call(SourceCall call);
+  /// Wall-clock mode: runs perform for `call` on the compute pool
+  /// (`on_pool`) or on this thread, hands the network wait to the
+  /// dispatcher, and returns the future its landing fulfils.
+  std::future<SourceCall> launch(SourceCall call, bool on_pool);
+  /// The CPU part of a call, in the fixed stage order: breaker, cache,
+  /// wrapper submit and, in wall-clock mode, scheduler admission. Returns
+  /// true when the call goes on to the network; otherwise the record is
+  /// finished. Touches only thread-safe components and no per-run state,
+  /// so it runs on a pool thread in wall-clock mode.
+  bool perform(Flight& flight) const;
+  /// The tail of a call that reached a source, once the network answered:
+  /// frees the scheduler token, runs the one observation site and
+  /// publishes to the cache. Runs on the timer thread in wall-clock mode.
+  void land(Flight& flight) const;
   /// Derives RunStats, the trace instants and data-or-residual from a
   /// finished call, on the query thread; throws on a wrapper refusal.
   Outcome settle(const SourceCall& call);
   bool wall_clock_mode() const { return context_.dispatcher != nullptr; }
   /// Wall-clock mode: launch every exec leaf of `plan` onto the pool.
   void prefetch_execs(const PhysicalPtr& plan);
-  /// Blocks until every still-pending prefetched call finished, so pool
-  /// tasks never outlive this Runtime (exception path, DAG-shaped plans).
+  /// Blocks until every still-pending prefetched call has landed, so no
+  /// pool task or landing outlives this Runtime (exception path,
+  /// DAG-shaped plans).
   void drain_prefetched() noexcept;
 
   ExecContext context_;

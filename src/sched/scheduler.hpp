@@ -1,12 +1,13 @@
 // Per-source admission control & fair query scheduling (src/sched/).
 //
 // DISCO's premise is scaling a mediator to *many* autonomous sources
-// (§1), but a shared thread pool alone does not protect the federation
-// under overload: every concurrent query fans its exec calls straight
-// into the pool, so one slow repository can absorb all workers and
-// starve every query that never touches it, and nothing bounds the
-// number of in-flight calls a source sees. This module is the
-// protective layer between the physical runtime and the
+// (§1), but the executor alone does not protect them: every concurrent
+// query fans its exec calls straight out to the dispatcher, which waits
+// them out on its timer thread without limit, so nothing bounds the
+// number of in-flight calls a source sees — an overloaded, slow
+// repository keeps receiving new calls and each of them waits out its
+// whole latency (or the deadline) before the query hears back. This
+// module is the protective layer between the physical runtime and the
 // ParallelDispatcher (cf. the Mask-Mediator-Wrapper argument for a
 // dedicated intermediary component):
 //
@@ -29,6 +30,12 @@
 // fetching *leader* of a coalesced flight ever holds a token — a waiter
 // joining an in-flight identical fetch blocks on the shared future, not
 // on the semaphore, so coalescing never multiplies token demand.
+//
+// Token lifetime: admit() runs in Runtime::perform on a compute-pool
+// worker and blocks that worker while the call is queued; the token is
+// held until the call lands and is released by Runtime::land on the
+// dispatcher's timer thread, which never needs a worker — so a queued
+// worker is always woken by a landing, even with a pool of one.
 //
 // Thread safety: one mutex per endpoint (calls are coarse —
 // milliseconds of simulated network wait each); the endpoint registry
@@ -181,9 +188,10 @@ class QueryScheduler {
 
   /// Sheds every queued waiter of `endpoint` immediately (the health
   /// tracker calls this when the endpoint's circuit opens: waiting for
-  /// a source known to be dark only wastes pool workers). Tokens
-  /// already granted are unaffected — their calls are already in
-  /// flight. Thread-safe.
+  /// a source known to be dark only delays the partial answer and keeps
+  /// the waiter's compute-pool worker blocked here). Tokens already
+  /// granted are unaffected — their calls are already in flight.
+  /// Thread-safe.
   void drain(const std::string& endpoint);
 
   /// Changes one endpoint's concurrency limit at run time; raising it

@@ -13,15 +13,13 @@ namespace disco::server::json {
 
 Value Value::boolean(bool v) {
   Value out;
-  out.kind_ = Kind::Bool;
-  out.bool_ = v;
+  out.data_ = v;
   return out;
 }
 
 Value Value::integer(int64_t v) {
   Value out;
-  out.kind_ = Kind::Int;
-  out.int_ = v;
+  out.data_ = v;
   return out;
 }
 
@@ -36,29 +34,25 @@ Value Value::unsigned_integer(uint64_t v) {
 
 Value Value::real(double v) {
   Value out;
-  out.kind_ = Kind::Double;
-  out.double_ = v;
+  out.data_ = v;
   return out;
 }
 
 Value Value::string(std::string v) {
   Value out;
-  out.kind_ = Kind::String;
-  out.string_ = std::move(v);
+  out.data_ = std::move(v);
   return out;
 }
 
 Value Value::array(std::vector<Value> items) {
   Value out;
-  out.kind_ = Kind::Array;
-  out.items_ = std::move(items);
+  out.data_ = std::move(items);
   return out;
 }
 
 Value Value::object(std::vector<Member> members) {
   Value out;
-  out.kind_ = Kind::Object;
-  out.members_ = std::move(members);
+  out.data_ = std::move(members);
   return out;
 }
 
@@ -71,53 +65,58 @@ namespace {
 }  // namespace
 
 bool Value::as_bool() const {
-  if (kind_ != Kind::Bool) kind_mismatch("a boolean");
-  return bool_;
+  if (const bool* v = std::get_if<bool>(&data_)) return *v;
+  kind_mismatch("a boolean");
 }
 
 int64_t Value::as_int64() const {
-  if (kind_ == Kind::Int) return int_;
-  if (kind_ == Kind::Double && double_ == std::floor(double_) &&
-      double_ >= static_cast<double>(INT64_MIN) &&
-      double_ <= static_cast<double>(INT64_MAX)) {
-    return static_cast<int64_t>(double_);
+  if (const int64_t* v = std::get_if<int64_t>(&data_)) return *v;
+  const double* d = std::get_if<double>(&data_);
+  if (d != nullptr && *d == std::floor(*d) &&
+      *d >= static_cast<double>(INT64_MIN) &&
+      *d <= static_cast<double>(INT64_MAX)) {
+    return static_cast<int64_t>(*d);
   }
   kind_mismatch("an integer");
 }
 
 uint64_t Value::as_uint64() const {
-  if (kind_ == Kind::Int && int_ >= 0) return static_cast<uint64_t>(int_);
-  if (kind_ == Kind::Double && double_ >= 0 &&
-      double_ == std::floor(double_) && double_ <= 1.8e19) {
-    return static_cast<uint64_t>(double_);
+  const int64_t* i = std::get_if<int64_t>(&data_);
+  if (i != nullptr && *i >= 0) return static_cast<uint64_t>(*i);
+  const double* d = std::get_if<double>(&data_);
+  if (d != nullptr && *d >= 0 && *d == std::floor(*d) && *d <= 1.8e19) {
+    return static_cast<uint64_t>(*d);
   }
   kind_mismatch("a non-negative integer");
 }
 
 double Value::as_double() const {
-  if (kind_ == Kind::Int) return static_cast<double>(int_);
-  if (kind_ == Kind::Double) return double_;
+  if (const int64_t* v = std::get_if<int64_t>(&data_)) {
+    return static_cast<double>(*v);
+  }
+  if (const double* v = std::get_if<double>(&data_)) return *v;
   kind_mismatch("a number");
 }
 
 const std::string& Value::as_string() const {
-  if (kind_ != Kind::String) kind_mismatch("a string");
-  return string_;
+  if (const std::string* v = std::get_if<std::string>(&data_)) return *v;
+  kind_mismatch("a string");
 }
 
 const std::vector<Value>& Value::items() const {
-  if (kind_ != Kind::Array) kind_mismatch("an array");
-  return items_;
+  if (const auto* v = std::get_if<std::vector<Value>>(&data_)) return *v;
+  kind_mismatch("an array");
 }
 
 const std::vector<Value::Member>& Value::members() const {
-  if (kind_ != Kind::Object) kind_mismatch("an object");
-  return members_;
+  if (const auto* v = std::get_if<std::vector<Member>>(&data_)) return *v;
+  kind_mismatch("an object");
 }
 
 const Value* Value::find(std::string_view key) const {
-  if (kind_ != Kind::Object) return nullptr;
-  for (const Member& member : members_) {
+  const auto* members = std::get_if<std::vector<Member>>(&data_);
+  if (members == nullptr) return nullptr;
+  for (const Member& member : *members) {
     if (member.first == key) return &member.second;
   }
   return nullptr;
@@ -132,35 +131,38 @@ const Value& Value::at(std::string_view key) const {
 }
 
 std::string Value::dump() const {
-  switch (kind_) {
+  switch (kind()) {
     case Kind::Null:
       return "null";
     case Kind::Bool:
-      return bool_ ? "true" : "false";
+      return as_bool() ? "true" : "false";
     case Kind::Int:
-      return std::to_string(int_);
+      return std::to_string(std::get<int64_t>(data_));
     case Kind::Double: {
-      if (!std::isfinite(double_)) return double_ > 0 ? "1e308" : "-1e308";
+      const double v = std::get<double>(data_);
+      if (!std::isfinite(v)) return v > 0 ? "1e308" : "-1e308";
       char buffer[64];
-      std::snprintf(buffer, sizeof(buffer), "%.17g", double_);
+      std::snprintf(buffer, sizeof(buffer), "%.17g", v);
       return buffer;
     }
     case Kind::String:
-      return '"' + obs::json_escape(string_) + '"';
+      return '"' + obs::json_escape(as_string()) + '"';
     case Kind::Array: {
+      const std::vector<Value>& values = items();
       std::string out = "[";
-      for (size_t i = 0; i < items_.size(); ++i) {
+      for (size_t i = 0; i < values.size(); ++i) {
         if (i > 0) out += ',';
-        out += items_[i].dump();
+        out += values[i].dump();
       }
       return out + ']';
     }
     case Kind::Object: {
+      const std::vector<Member>& fields = members();
       std::string out = "{";
-      for (size_t i = 0; i < members_.size(); ++i) {
+      for (size_t i = 0; i < fields.size(); ++i) {
         if (i > 0) out += ',';
-        out += '"' + obs::json_escape(members_[i].first) + "\":";
-        out += members_[i].second.dump();
+        out += '"' + obs::json_escape(fields[i].first) + "\":";
+        out += fields[i].second.dump();
       }
       return out + '}';
     }

@@ -13,10 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace disco::server::json {
@@ -43,8 +44,8 @@ class Value {
   static Value array(std::vector<Value> items);
   static Value object(std::vector<Member> members);
 
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::Null; }
+  Kind kind() const { return static_cast<Kind>(data_.index()); }
+  bool is_null() const { return kind() == Kind::Null; }
 
   /// Accessors throw JsonError on kind mismatch.
   bool as_bool() const;
@@ -66,13 +67,11 @@ class Value {
   std::string dump() const;
 
  private:
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  int64_t int_ = 0;
-  double double_ = 0;
-  std::string string_;
-  std::vector<Value> items_;
-  std::vector<Member> members_;
+  /// One alternative per Kind, in Kind's order, so a node is as large as
+  /// its largest alternative rather than the sum of all of them.
+  std::variant<std::monostate, bool, int64_t, double, std::string,
+               std::vector<Value>, std::vector<Member>>
+      data_;
 };
 
 /// Strict parse of one JSON document (trailing garbage rejected).

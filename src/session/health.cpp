@@ -243,15 +243,13 @@ size_t SourceHealthTracker::tracked() const {
 
 // ------------------------------------------------------------------ Prober --
 
-Prober::Prober(SourceHealthTracker* tracker, exec::ThreadPool* pool,
-               double interval_wall_s, ProbeFn probe, ResultFn on_result)
+Prober::Prober(SourceHealthTracker* tracker, double interval_wall_s,
+               ProbeFn probe, ResultFn on_result)
     : tracker_(tracker),
-      pool_(pool),
       interval_wall_s_(interval_wall_s),
       probe_(std::move(probe)),
       on_result_(std::move(on_result)) {
-  internal_check(tracker != nullptr && pool != nullptr,
-                 "prober needs a tracker and a pool");
+  internal_check(tracker != nullptr, "prober needs a tracker");
   internal_check(static_cast<bool>(probe_), "prober needs a probe function");
   internal_check(interval_wall_s_ > 0, "probe interval must be positive");
   scheduler_ = std::thread([this] { loop(); });
@@ -267,11 +265,9 @@ void Prober::stop() {
   }
   wake_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
-  // Pool tasks capture `this`; wait them out before the members go away.
-  for (std::future<void>& job : in_flight_) {
-    if (job.valid()) job.wait();
-  }
-  in_flight_.clear();
+  // Landings capture `this`; wait them out before the members go away.
+  std::unique_lock<std::mutex> lock(mutex_);
+  landed_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void Prober::loop() {
@@ -282,23 +278,24 @@ void Prober::loop() {
                    [this] { return stopping_; });
     if (stopping_) break;
     sweeps_.fetch_add(1, std::memory_order_relaxed);
-
-    // Drop finished probe jobs so the in-flight list stays small.
-    std::erase_if(in_flight_, [](std::future<void>& job) {
-      return !job.valid() ||
-             job.wait_for(std::chrono::seconds(0)) ==
-                 std::future_status::ready;
-    });
-
-    std::vector<std::string> candidates = tracker_->probe_candidates();
-    for (const std::string& repository : candidates) {
+    lock.unlock();
+    for (const std::string& repository : tracker_->probe_candidates()) {
       if (!tracker_->try_begin_probe(repository)) continue;
-      in_flight_.push_back(pool_->submit([this, repository] {
-        exec::DispatchOutcome out = probe_(repository);
+      {
+        std::lock_guard<std::mutex> count(mutex_);
+        ++in_flight_;
+      }
+      probe_(repository, [this, repository](const exec::DispatchOutcome& out) {
         tracker_->on_outcome(repository, out.available, out.latency_s);
         if (on_result_) on_result_(repository, out);
-      }));
+        // Notified under the lock: once stop() sees zero, this landing
+        // no longer touches the prober.
+        std::lock_guard<std::mutex> count(mutex_);
+        --in_flight_;
+        landed_.notify_all();
+      });
     }
+    lock.lock();
   }
 }
 

@@ -34,7 +34,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,7 +41,6 @@
 #include <vector>
 
 #include "exec/dispatcher.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace disco::session {
 
@@ -174,33 +172,36 @@ class SourceHealthTracker {
 
 /// Background half-open prober (wall-clock mode). A scheduler thread
 /// wakes every probe interval and, for each circuit the tracker wants
-/// probed, runs one probe job on the shared exec::ThreadPool — so probe
-/// network waits overlap with query traffic instead of blocking it. The
-/// probe outcome feeds the tracker (closing circuits whose source came
-/// back) and an optional result hook (the mediator routes it into
-/// optimizer::CostHistory, keeping the §3.3 cost model warm while a
-/// source is dark).
+/// probed, issues one probe that lands asynchronously (the dispatcher's
+/// timer thread waits it out) — so probe network waits hold no thread
+/// and overlap with query traffic. The probe outcome feeds the tracker
+/// (closing circuits whose source came back) and an optional result hook
+/// (the mediator routes it into optimizer::CostHistory, keeping the §3.3
+/// cost model warm while a source is dark).
 class Prober {
  public:
+  /// Receives one probe's outcome when it lands.
+  using Done = std::function<void(const exec::DispatchOutcome&)>;
   /// Issues one probe call (e.g. ParallelDispatcher::probe) and returns
-  /// its outcome. Runs on a pool thread; must be thread-safe.
+  /// at once; `done` runs exactly once, when the probe lands. Must be
+  /// thread-safe.
   using ProbeFn =
-      std::function<exec::DispatchOutcome(const std::string& repository)>;
-  /// Invoked after every probe with its outcome (pool thread).
+      std::function<void(const std::string& repository, Done done)>;
+  /// Invoked after every probe with its outcome (on the landing thread).
   using ResultFn = std::function<void(const std::string& repository,
                                       const exec::DispatchOutcome&)>;
 
   /// `interval_wall_s` is the scheduler period in wall seconds (the
   /// mediator scales probe_interval_s by latency_scale). Pointers are
   /// borrowed and must outlive the prober.
-  Prober(SourceHealthTracker* tracker, exec::ThreadPool* pool,
-         double interval_wall_s, ProbeFn probe, ResultFn on_result = {});
+  Prober(SourceHealthTracker* tracker, double interval_wall_s, ProbeFn probe,
+         ResultFn on_result = {});
   ~Prober();
 
   Prober(const Prober&) = delete;
   Prober& operator=(const Prober&) = delete;
 
-  /// Stops the scheduler and waits for in-flight probe jobs.
+  /// Stops the scheduler and waits until every issued probe has landed.
   void stop();
 
   uint64_t sweeps() const { return sweeps_.load(std::memory_order_relaxed); }
@@ -209,7 +210,6 @@ class Prober {
   void loop();
 
   SourceHealthTracker* tracker_;
-  exec::ThreadPool* pool_;
   double interval_wall_s_;
   ProbeFn probe_;
   ResultFn on_result_;
@@ -217,7 +217,8 @@ class Prober {
   std::mutex mutex_;
   std::condition_variable wake_;
   bool stopping_ = false;
-  std::vector<std::future<void>> in_flight_;
+  size_t in_flight_ = 0;  ///< probes issued and not yet landed
+  std::condition_variable landed_;
   std::atomic<uint64_t> sweeps_{0};
   std::thread scheduler_;
 };

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <future>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,6 +78,18 @@ struct DispatcherHarness {
     return options;
   }
 
+  /// Issues one call to "src" at virtual instant 0 and waits for it to
+  /// land.
+  exec::DispatchOutcome call(size_t result_rows, double deadline_s) {
+    auto landed = std::make_shared<std::promise<exec::DispatchOutcome>>();
+    std::future<exec::DispatchOutcome> outcome = landed->get_future();
+    dispatcher.call("src", result_rows, /*issue_at=*/0, deadline_s, {},
+                    [landed](const exec::DispatchOutcome& out) {
+                      landed->set_value(out);
+                    });
+    return outcome.get();
+  }
+
   net::Network network;
   exec::ThreadPool pool;
   exec::Metrics metrics;
@@ -83,9 +98,7 @@ struct DispatcherHarness {
 
 TEST(DispatcherTest, UpSourceSucceedsOnFirstAttempt) {
   DispatcherHarness h(net::Availability::always_up());
-  exec::DispatchOutcome out = h.dispatcher.call("src", /*result_rows=*/100,
-                                                /*issue_at=*/0,
-                                                /*deadline_s=*/1.0);
+  exec::DispatchOutcome out = h.call(/*result_rows=*/100, /*deadline_s=*/1.0);
   EXPECT_TRUE(out.available);
   EXPECT_FALSE(out.timed_out);
   EXPECT_EQ(out.attempts, 1u);
@@ -100,8 +113,7 @@ TEST(DispatcherTest, UpSourceSucceedsOnFirstAttempt) {
 
 TEST(DispatcherTest, DownSourceExhaustsEveryAttempt) {
   DispatcherHarness h(net::Availability::always_down());
-  exec::DispatchOutcome out =
-      h.dispatcher.call("src", 10, /*issue_at=*/0, /*deadline_s=*/10.0);
+  exec::DispatchOutcome out = h.call(10, /*deadline_s=*/10.0);
   EXPECT_FALSE(out.available);
   EXPECT_FALSE(out.timed_out);
   EXPECT_EQ(out.attempts, h.dispatcher.options().retry.max_attempts);
@@ -119,10 +131,11 @@ TEST(DispatcherTest, SlowReplyHitsTheDeadline) {
   DispatcherHarness h(net::Availability::always_up(),
                       DispatcherHarness::fast_options(),
                       net::LatencyModel{0.5, 0, 0});
-  exec::DispatchOutcome out =
-      h.dispatcher.call("src", 10, /*issue_at=*/0, /*deadline_s=*/0.1);
+  exec::DispatchOutcome out = h.call(10, /*deadline_s=*/0.1);
   EXPECT_FALSE(out.available);
   EXPECT_TRUE(out.timed_out);
+  // The attempt was made, so the late reply's latency is known.
+  EXPECT_DOUBLE_EQ(out.latency_s, 0.5);
   EXPECT_EQ(h.metrics.snapshot().timed_out, 1u);
 }
 
@@ -132,8 +145,7 @@ TEST(DispatcherTest, PerCallDeadlineCombinesWithQueryDeadline) {
   DispatcherHarness h(net::Availability::always_up(), options,
                       net::LatencyModel{0.5, 0, 0});
   exec::DispatchOutcome out =
-      h.dispatcher.call("src", 10, /*issue_at=*/0,
-                        /*deadline_s=*/std::numeric_limits<double>::infinity());
+      h.call(10, /*deadline_s=*/std::numeric_limits<double>::infinity());
   EXPECT_TRUE(out.timed_out);
 }
 
@@ -143,8 +155,7 @@ TEST(DispatcherTest, DeadlineExpiredBeforeFirstAttemptReportsOneAttempt) {
   // attempts=0 would surface in metrics, traces and the outcome listener
   // as "never tried", which reads as a dispatcher bug, not a timeout.
   DispatcherHarness h(net::Availability::always_up());
-  exec::DispatchOutcome out =
-      h.dispatcher.call("src", 10, /*issue_at=*/0, /*deadline_s=*/0.0);
+  exec::DispatchOutcome out = h.call(10, /*deadline_s=*/0.0);
   EXPECT_FALSE(out.available);
   EXPECT_TRUE(out.timed_out);
   EXPECT_GE(out.attempts, 1u);
@@ -194,8 +205,7 @@ TEST(DispatcherTest, FullJitterNeverSpinsHot) {
   DispatcherHarness h(net::Availability::random(0.5), options);
   size_t succeeded = 0;
   for (int i = 0; i < 16; ++i) {
-    exec::DispatchOutcome out =
-        h.dispatcher.call("src", 5, /*issue_at=*/0, /*deadline_s=*/10.0);
+    exec::DispatchOutcome out = h.call(5, /*deadline_s=*/10.0);
     if (out.available) ++succeeded;
   }
   EXPECT_EQ(succeeded, 16u);
@@ -209,8 +219,7 @@ TEST(DispatcherTest, RandomBlipsAreRetriedAway) {
   size_t succeeded = 0;
   bool saw_retry = false;
   for (int i = 0; i < 32; ++i) {
-    exec::DispatchOutcome out =
-        h.dispatcher.call("src", 5, /*issue_at=*/0, /*deadline_s=*/10.0);
+    exec::DispatchOutcome out = h.call(5, /*deadline_s=*/10.0);
     if (out.available) ++succeeded;
     if (out.available && out.attempts > 1) saw_retry = true;
   }
@@ -219,6 +228,34 @@ TEST(DispatcherTest, RandomBlipsAreRetriedAway) {
   EXPECT_EQ(succeeded, 32u);
   EXPECT_TRUE(saw_retry);
   EXPECT_GE(h.metrics.snapshot().retries, 1u);
+}
+
+TEST(DispatcherTest, BackoffAttemptSeesTheSourceComeBack) {
+  // Each attempt consults the network when it is made, not when the call
+  // was issued: a source brought back while the call backs off answers
+  // the very next attempt.
+  exec::ExecOptions options = DispatcherHarness::fast_options();
+  options.latency_scale = 0.1;
+  options.retry.max_attempts = 3;
+  options.retry.initial_backoff_s = 1.0;  // 100 ms wall
+  options.retry.max_backoff_s = 1.0;
+  options.retry.jitter = 0;
+  DispatcherHarness h(net::Availability::always_down(), options);
+
+  auto landed = std::make_shared<std::promise<exec::DispatchOutcome>>();
+  std::future<exec::DispatchOutcome> outcome = landed->get_future();
+  h.dispatcher.call("src", 5, /*issue_at=*/0, /*deadline_s=*/10.0, {},
+                    [landed](const exec::DispatchOutcome& out) {
+                      landed->set_value(out);
+                    });
+  while (h.metrics.snapshot().retries == 0) std::this_thread::yield();
+  h.network.set_availability("src", net::Availability::always_up());
+
+  exec::DispatchOutcome out = outcome.get();
+  EXPECT_TRUE(out.available);
+  EXPECT_EQ(out.attempts, 2u);
+  EXPECT_EQ(h.metrics.snapshot().retries, 1u);
+  EXPECT_EQ(h.dispatcher.pending(), 0u);
 }
 
 // ------------------------------------------- federation (mediator level) ---
@@ -302,6 +339,64 @@ TEST(ParallelExecutionTest, MatchesSequentialRowSet) {
   EXPECT_EQ(m.dispatched, kSources);
   EXPECT_EQ(m.succeeded, kSources);
   EXPECT_EQ(m.rows, kSources);  // one row per source
+}
+
+TEST(ParallelExecutionTest, OneWorkerFanOutOverlapsItsWaits) {
+  // The pool sizes CPU work only: with a single worker, an 8-source
+  // fan-out still waits out its calls together, in well under two call
+  // latencies rather than eight.
+  const size_t kSources = 8;
+  Mediator::Options options = wall_clock_options(1);
+  options.exec.latency_scale = 10;  // 5.1 ms simulated -> 51 ms wall
+  Federation federation(kSources, options);
+
+  Answer answer =
+      federation.mediator->query("select x.name from x in person");
+  ASSERT_TRUE(answer.complete());
+  EXPECT_EQ(answer.data().items().size(), kSources);
+  const double latency_wall_s = (0.005 + 0.0001) * 10;
+  EXPECT_LT(answer.stats().run.elapsed_s, 2 * latency_wall_s);
+}
+
+TEST(ParallelExecutionTest, OneWorkerCompletesQueuedAndCoalescedCalls) {
+  // One worker, one repository with a single token, and a cache. The
+  // second query of each pair blocks that worker until the first one's
+  // call lands: on the cached fetch it joined, or in the queue for the
+  // token. A landing never needs a worker, so every query completes.
+  Mediator::Options options = wall_clock_options(1);
+  options.exec.latency_scale = 40;  // 5.1 ms simulated -> 204 ms wall
+  options.sched.enabled = true;
+  options.sched.per_endpoint_limit = 1;
+  options.cache.enabled = true;
+  Federation federation(1, options);
+  Mediator& mediator = *federation.mediator;
+
+  auto run_pair = [&](const std::string& first, const std::string& second) {
+    std::optional<Answer> a, b;
+    std::thread lead([&] { a = mediator.query(first); });
+    while (mediator.sched_stats("r0").in_flight == 0) {
+      std::this_thread::yield();
+    }
+    std::thread follow([&] { b = mediator.query(second); });
+    lead.join();
+    follow.join();
+    EXPECT_TRUE(a->complete());
+    EXPECT_TRUE(b->complete());
+    return std::make_pair(*a, *b);
+  };
+
+  // The same submit joins the in-flight fetch: a coalesced cache waiter.
+  const std::string names = "select x.name from x in person";
+  auto [led, joined] = run_pair(names, names);
+  EXPECT_EQ(joined.stats().run.cache_coalesced, 1u);
+  EXPECT_EQ(Federation::row_set(led), Federation::row_set(joined));
+
+  // Another submit to the same repository: a queued admission.
+  run_pair("select x.salary from x in person", "select x.id from x in person");
+  sched::EndpointSchedStats r0 = mediator.sched_stats("r0");
+  EXPECT_EQ(r0.queued_calls, 1u);
+  EXPECT_EQ(r0.max_in_flight, 1u);
+  EXPECT_EQ(r0.in_flight, 0u);
 }
 
 TEST(ParallelExecutionTest, WallClockStatsReportRetries) {

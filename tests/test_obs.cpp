@@ -189,6 +189,35 @@ TEST(TraceTest, CompactJsonNestsChildren) {
   EXPECT_NE(json.find("\"children\":["), std::string::npos);
 }
 
+TEST(TraceTest, SpanEndedOnAnotherThreadIsAnAsyncPair) {
+  // A wall-clock exec span begins on a pool worker and ends on the
+  // dispatcher's timer thread, so it can overlap spans begun after it on
+  // the worker's lane. B/E pairs must nest per lane; such a span is
+  // written as an async b/e pair that carries its id.
+  obs::Trace trace("q");
+  const uint64_t crossing = trace.begin(0, "exec", "exec");
+  const uint64_t local = trace.begin(0, "exec", "exec");
+  std::thread lander([&] { trace.end(crossing); });
+  lander.join();
+  trace.end(local);
+
+  const std::string json = trace.to_json();
+  const ChromeTraceShape shape = chrome_shape(json);
+  EXPECT_EQ(shape.begins, 1u);
+  EXPECT_EQ(shape.ends, 1u);
+  EXPECT_TRUE(shape.monotone);
+  EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
+  size_t ids = 0;
+  const std::string id = "\"id\":" + std::to_string(crossing);
+  for (size_t at = json.find(id); at != std::string::npos;
+       at = json.find(id, at + 1)) {
+    ++ids;
+  }
+  EXPECT_EQ(ids, 2u);
+  EXPECT_EQ(json.find("\"id\":" + std::to_string(local)), std::string::npos);
+}
+
 TEST(TraceTest, ThreadsGetDenseLaneIndices) {
   obs::Trace trace("q");
   trace.begin(0, "main", "test");

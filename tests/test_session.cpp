@@ -425,6 +425,75 @@ TEST(HealthFeedTest, CacheServedAndShedCallsAreNotObserved) {
   EXPECT_EQ(busy.mediator.source_health("r1").successes, 1u);
 }
 
+TEST(HealthFeedTest, TimeoutsTeachTheCostModelInBothModes) {
+  // The deadline (0.1 s) is below the cost of fetching the 5000-row
+  // customers extent whole (~0.5 s), and every source is up. The cold
+  // plan hash-joins, so its whole-extent fetch times out and the join
+  // turns residual. That reply's latency and rows are recorded like an
+  // answer's, so the resubmitted residual is re-planned as an indexed
+  // bind join and completes; were timeouts not recorded, every round
+  // would pick the same plan and time out again.
+  for (size_t workers : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("exec.workers = " + std::to_string(workers));
+    memdb::Database orders_db("db0");
+    memdb::Database customers_db("db1");
+    auto& orders = orders_db.create_table(
+        "orders",
+        {{"cid", memdb::ColumnType::Int}, {"item", memdb::ColumnType::Text}});
+    orders.insert({Value::integer(11), Value::string("disk")});
+    orders.insert({Value::integer(42), Value::string("tape")});
+    orders.insert({Value::integer(11), Value::string("cpu")});
+    auto& customers = customers_db.create_table(
+        "customers",
+        {{"id", memdb::ColumnType::Int}, {"cname", memdb::ColumnType::Text}});
+    for (int i = 0; i < 5000; ++i) {
+      customers.insert(
+          {Value::integer(i), Value::string("c" + std::to_string(i))});
+    }
+    customers.create_index("customers_id", "id");
+
+    Mediator::Options options;
+    options.optimizer.enable_bind_join = true;
+    options.exec.workers = workers;
+    options.exec.latency_scale = 0.05;
+    Mediator mediator(options);
+    auto wrapper = std::make_shared<wrapper::MemDbWrapper>();
+    wrapper->set_cost_model(wrapper::MemDbWrapper::CostModel{.enabled = true});
+    wrapper->attach_database("r0", &orders_db);
+    wrapper->attach_database("r1", &customers_db);
+    mediator.register_wrapper("w0", std::move(wrapper));
+    mediator.register_repository(
+        catalog::Repository{"r0", "a", "db", "1.0.0.1"},
+        net::LatencyModel{0.005, 0.0001, 0});
+    mediator.register_repository(
+        catalog::Repository{"r1", "b", "db", "1.0.0.2"},
+        net::LatencyModel{0.005, 0.0001, 0});
+    mediator.execute_odl(R"(
+      interface Order { attribute Short cid; attribute String item; };
+      interface Customer { attribute Short id; attribute String cname; };
+      extent orders of Order wrapper w0 repository r0;
+      extent customers of Customer wrapper w0 repository r1;
+    )");
+
+    QueryOptions deadline;
+    deadline.deadline_s = 0.1;
+    std::string text =
+        "select struct(who: c.cname, what: o.item) "
+        "from o in orders, c in customers where o.cid = c.id";
+    Answer first = mediator.query(text, deadline);
+    ASSERT_FALSE(first.complete());
+    size_t rounds = 1;
+    Answer answer = first;
+    while (!answer.complete() && rounds < 4) {
+      answer = mediator.query(answer.to_oql(), deadline);
+      ++rounds;
+    }
+    EXPECT_TRUE(answer.complete()) << "still partial after " << rounds
+                                   << " rounds";
+    EXPECT_EQ(answer.data().size(), 3u);
+  }
+}
+
 // -------------------------------------------------- sessions (stub runner) ---
 
 QueryStats stub_stats() { return QueryStats{}; }
