@@ -11,7 +11,7 @@
 //        mediator M2  ----------- wrapper wl --- local bonus db
 //            |
 //        mediator M1 (remote, via MediatorWrapper)
-//        /        \
+//       |             |
 //    wrapper w0   wrapper w0
 //       |             |
 //     db r0         db r1
@@ -107,7 +107,7 @@ int main() {
 
   // Traffic per component: evidence of the Fig. 1 message flows.
   std::cout << "M1 endpoint traffic:\n";
-  for (const std::string& repo : {"r0", "r1"}) {
+  for (const char* repo : {"r0", "r1"}) {
     const auto& stats = m1.network().stats(repo);
     std::cout << "  " << repo << ": " << stats.calls << " calls, "
               << stats.rows << " rows\n";

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the full test suite, then
-# run the `concurrency` label on its own (the concurrent-executor suite).
+# Tier-1 verification: configure, build with warnings as errors (a new
+# compiler warning fails tier-1), run the full test suite, then run the
+# `concurrency` label on its own (the concurrent-executor suite).
 #
 #   scripts/tier1.sh                # plain build + tests
 #   DISCO_TSAN=1 scripts/tier1.sh   # additionally rebuild the concurrency
@@ -9,7 +10,7 @@ set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 
-cmake -B "$repo/build" -S "$repo"
+cmake -B "$repo/build" -S "$repo" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$repo/build" -j "$(nproc)"
 ctest --test-dir "$repo/build" --output-on-failure -j "$(nproc)"
 ctest --test-dir "$repo/build" -L concurrency --output-on-failure

@@ -38,13 +38,8 @@ Mediator::Mediator(Options options)
   // Per-source admission control (src/sched/). Only meaningful in
   // wall-clock mode: virtual-time calls are sequential by construction.
   if (options_.sched.enabled && dispatcher_ != nullptr) {
-    sched::SchedOptions sched_options = options_.sched;
-    if (sched_options.per_endpoint_limit == 0) {
-      sched_options.per_endpoint_limit = options_.exec.workers;
-    }
     scheduler_ = std::make_unique<sched::QueryScheduler>(
-        std::move(sched_options), options_.exec.latency_scale,
-        &exec_metrics_);
+        options_.sched, options_.exec.latency_scale, &exec_metrics_);
   }
 
   // Health tracking (src/session/). The tracker's time base is simulated
@@ -285,7 +280,6 @@ optimizer::Optimizer Mediator::make_optimizer(
 optimizer::Optimizer Mediator::make_optimizer(
     const fedcat::SnapshotPtr& snap,
     optimizer::OptimizerOptions opt_options) const {
-  opt_options.vec = options_.vec.enabled;
   optimizer::Optimizer opt(
       &snap->catalog,
       [snap](const std::string& name) { return snap->wrapper_by_name(name); },
@@ -747,14 +741,8 @@ std::optional<vec::Schema> vec_walk(const physical::PhysicalPtr& node,
         merged->columns.insert(merged->columns.end(),
                                right->columns.begin(),
                                right->columns.end());
-        const auto key_col = [&](const oql::ExprPtr& key,
-                                 const vec::Schema& schema) {
-          return key->kind == oql::ExprKind::Path &&
-                 key->child->kind == oql::ExprKind::Ident &&
-                 schema.index_of(key->child->name, key->name) >= 0;
-        };
-        ok = key_col(node->left_key, *left) &&
-             key_col(node->right_key, *right) &&
+        ok = node->left_key.column(*left) >= 0 &&
+             node->right_key.column(*right) >= 0 &&
              (node->predicate == nullptr ||
               vec::compile_predicate(node->predicate, *merged).has_value());
       }
@@ -765,13 +753,10 @@ std::optional<vec::Schema> vec_walk(const physical::PhysicalPtr& node,
       ops->push_back("hash join -> row path");
       return std::nullopt;
     }
-    case physical::POp::MergeJoin:
     case physical::POp::NestedLoopJoin: {
       vec_walk(node->left, catalog, ops);
       vec_walk(node->right, catalog, ops);
-      ops->push_back(node->op == physical::POp::MergeJoin
-                         ? "merge join -> row path"
-                         : "nested-loop join -> row path");
+      ops->push_back("nested-loop join -> row path");
       return std::nullopt;
     }
     case physical::POp::BindJoin: {

@@ -123,10 +123,10 @@ class Mediator {
     /// Per-source admission control & fair scheduling (src/sched/). Off
     /// by default. With sched.enabled (and exec.workers > 0), every
     /// source call first acquires that endpoint's token: at most
-    /// sched.per_endpoint_limit calls (0 = exec.workers; overridable per
-    /// repository via sched.limits) are in flight per source, excess
-    /// calls wait in a bounded fair queue (round-robin across queries),
-    /// and overload sheds calls into §4 residuals that complete later by
+    /// sched.per_endpoint_limit calls (overridable per repository via
+    /// sched.limits) are in flight per source, excess calls wait in a
+    /// bounded fair queue (round-robin across queries), and overload
+    /// sheds calls into §4 residuals that complete later by
     /// resubmission. Virtual-time mode (workers == 0) never needs it:
     /// calls there are sequential by construction.
     sched::SchedOptions sched;
@@ -269,8 +269,8 @@ class Mediator {
     std::vector<std::pair<std::string, std::string>> aux;
     /// Batch execution (Options::vec) is on for this mediator.
     bool vec = false;
-    /// Which plan operators will run vectorized ("filter", "project",
-    /// "hash join", "union", ...) vs fall back ("merge join (row path)"),
+    /// Which plan operators will run vectorized ("filter -> vec", "hash
+    /// join -> vec", ...) vs fall back ("nested-loop join -> row path"),
     /// from a static walk of the chosen plan against the catalog's
     /// interfaces. Empty when vec is off or the query runs in local mode.
     std::vector<std::string> vec_ops;

@@ -1,7 +1,6 @@
 #include "optimizer/optimizer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <set>
@@ -10,7 +9,6 @@
 #include "common/error.hpp"
 #include "optimizer/typecheck.hpp"
 #include "oql/printer.hpp"
-#include "vec/ops.hpp"
 
 namespace disco::optimizer {
 
@@ -64,17 +62,6 @@ class Coster {
         Cost r = cost(node->right);
         return Cost{std::max(l.net_s, r.net_s),
                     l.cpu_s + r.cpu_s + (l.rows + r.rows) * kCpuPerRow,
-                    l.rows * r.rows * kJoinSelectivity};
-      }
-      case physical::POp::MergeJoin: {
-        Cost l = cost(node->left);
-        Cost r = cost(node->right);
-        auto nlogn = [](double n) {
-          return n * std::log2(std::max(n, 2.0));
-        };
-        return Cost{std::max(l.net_s, r.net_s),
-                    l.cpu_s + r.cpu_s +
-                        (nlogn(l.rows) + nlogn(r.rows)) * kCpuPerRow,
                     l.rows * r.rows * kJoinSelectivity};
       }
       case physical::POp::NestedLoopJoin: {
@@ -341,6 +328,47 @@ bool is_var_path(const oql::ExprPtr& e, const std::set<std::string>& vars) {
   return cursor->kind == oql::ExprKind::Ident && vars.contains(cursor->name);
 }
 
+/// An equi-join's key pair and the conjuncts left over.
+struct EquiJoin {
+  physical::EquiKey left_key, right_key;
+  std::vector<oql::ExprPtr> residual;
+};
+
+/// §3.1's equi-join implementation rule, decided here for every join
+/// algorithm: the first `=` conjunct between a path rooted on a `left`
+/// variable and a path rooted on a `right` one, flat or nested, becomes
+/// the key pair; the other conjuncts stay the residual, in their order.
+/// nullopt when no conjunct qualifies.
+std::optional<EquiJoin> find_equi_key(
+    const std::vector<oql::ExprPtr>& conjuncts,
+    const std::set<std::string>& left_vars,
+    const std::set<std::string>& right_vars) {
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    const oql::ExprPtr& conjunct = conjuncts[i];
+    if (conjunct->kind != oql::ExprKind::Binary ||
+        conjunct->binary_op != oql::BinaryOp::Eq) {
+      continue;
+    }
+    std::optional<physical::EquiKey> a = physical::EquiKey::of(conjunct->left);
+    std::optional<physical::EquiKey> b =
+        physical::EquiKey::of(conjunct->right);
+    if (!a.has_value() || !b.has_value()) continue;
+    if (right_vars.contains(a->var)) std::swap(a, b);
+    if (!left_vars.contains(a->var) || !right_vars.contains(b->var)) continue;
+    EquiJoin join{*std::move(a), *std::move(b), {}};
+    for (size_t j = 0; j < conjuncts.size(); ++j) {
+      if (j != i) join.residual.push_back(conjuncts[j]);
+    }
+    return join;
+  }
+  return std::nullopt;
+}
+
+std::set<std::string> vars_of(const LogicalPtr& node) {
+  std::vector<std::string> vars = algebra::bound_vars(node);
+  return {vars.begin(), vars.end()};
+}
+
 }  // namespace
 
 bool is_pushable_predicate(const oql::ExprPtr& expr,
@@ -453,61 +481,14 @@ physical::PhysicalPtr Optimizer::implement(const LogicalPtr& node) const {
       PhysicalPtr left = implement(node->left);
       PhysicalPtr right = implement(node->right);
       // Implementation rule: an equi-conjunct turns the join into a hash
-      // join (§3.1's "implement join with merge-join" analogue).
-      std::set<std::string> left_vars;
-      for (const std::string& v : algebra::bound_vars(node->left)) {
-        left_vars.insert(v);
-      }
-      std::set<std::string> right_vars;
-      for (const std::string& v : algebra::bound_vars(node->right)) {
-        right_vars.insert(v);
-      }
-      oql::ExprPtr left_key, right_key;
-      std::vector<oql::ExprPtr> residual;
-      for (const oql::ExprPtr& conjunct :
-           oql::split_conjuncts(node->predicate)) {
-        if (left_key == nullptr &&
-            conjunct->kind == oql::ExprKind::Binary &&
-            conjunct->binary_op == oql::BinaryOp::Eq) {
-          auto var_of = [](const oql::ExprPtr& e) -> const std::string* {
-            if (e->kind == oql::ExprKind::Path &&
-                e->child->kind == oql::ExprKind::Ident) {
-              return &e->child->name;
-            }
-            return nullptr;
-          };
-          const std::string* lv = var_of(conjunct->left);
-          const std::string* rv = var_of(conjunct->right);
-          if (lv != nullptr && rv != nullptr) {
-            if (left_vars.contains(*lv) && right_vars.contains(*rv)) {
-              left_key = conjunct->left;
-              right_key = conjunct->right;
-              continue;
-            }
-            if (left_vars.contains(*rv) && right_vars.contains(*lv)) {
-              left_key = conjunct->right;
-              right_key = conjunct->left;
-              continue;
-            }
-          }
-        }
-        residual.push_back(conjunct);
-      }
-      if (left_key != nullptr) {
-        // Vec mode steers batchable equi joins to the (vectorized) hash
-        // join; merge join has no batch implementation.
-        const bool vec_hash_join = options_.vec &&
-                                   vec::vec_batchable(node->left) &&
-                                   vec::vec_batchable(node->right);
-        if (options_.prefer_merge_join && !vec_hash_join) {
-          return physical::make_merge_join(std::move(left),
-                                           std::move(right), left_key,
-                                           right_key,
-                                           oql::conjoin(residual), node);
-        }
-        return physical::make_hash_join(std::move(left), std::move(right),
-                                        left_key, right_key,
-                                        oql::conjoin(residual), node);
+      // join.
+      std::optional<EquiJoin> equi =
+          find_equi_key(oql::split_conjuncts(node->predicate),
+                        vars_of(node->left), vars_of(node->right));
+      if (equi.has_value()) {
+        return physical::make_hash_join(
+            std::move(left), std::move(right), std::move(equi->left_key),
+            std::move(equi->right_key), oql::conjoin(equi->residual), node);
       }
       return physical::make_nl_join(std::move(left), std::move(right),
                                     node->predicate, node);
@@ -784,32 +765,13 @@ physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
   if (build.extent == nullptr || probe.extent == nullptr) return nullptr;
   if (!probe.local_preds.empty()) return nullptr;
 
-  // Find the equi key between the two variables.
-  oql::ExprPtr left_key, right_key;
+  std::optional<EquiJoin> equi =
+      find_equi_key(parts.join_preds, {build.var}, {probe.var});
+  if (!equi.has_value()) return nullptr;
   std::vector<oql::ExprPtr> residual = parts.other_preds;
-  for (const oql::ExprPtr& pred : parts.join_preds) {
-    if (left_key == nullptr && pred->kind == oql::ExprKind::Binary &&
-        pred->binary_op == oql::BinaryOp::Eq &&
-        pred->left->kind == oql::ExprKind::Path &&
-        pred->right->kind == oql::ExprKind::Path &&
-        pred->left->child->kind == oql::ExprKind::Ident &&
-        pred->right->child->kind == oql::ExprKind::Ident) {
-      const std::string& a = pred->left->child->name;
-      const std::string& b = pred->right->child->name;
-      if (a == build.var && b == probe.var) {
-        left_key = pred->left;
-        right_key = pred->right;
-        continue;
-      }
-      if (a == probe.var && b == build.var) {
-        left_key = pred->right;
-        right_key = pred->left;
-        continue;
-      }
-    }
-    residual.push_back(pred);
-  }
-  if (left_key == nullptr) return nullptr;
+  residual.insert(residual.end(), equi->residual.begin(),
+                  equi->residual.end());
+  const oql::ExprPtr probe_key = equi->right_key.expr;
 
   // Probe base expression; its wrapper must take a (composed) filter —
   // the bind predicate is appended at run time.
@@ -820,7 +782,7 @@ physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
   }
   LogicalPtr probe_with_bind = algebra::filter(
       probe_base->op == LOp::Filter ? probe_base->child : probe_base,
-      oql::binary(oql::BinaryOp::Eq, right_key, right_key));
+      oql::binary(oql::BinaryOp::Eq, probe_key, probe_key));
   const bool probe_ok =
       grammars.accepts(probe.extent->wrapper, probe_with_bind);
   if (decisions != nullptr) {
@@ -865,7 +827,7 @@ physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
   // probe side from it — the §3.3 loop that notices indexed probes
   // returning in near-constant time.
   oql::ExprPtr placeholder =
-      oql::binary(oql::BinaryOp::Eq, right_key, right_key);
+      oql::binary(oql::BinaryOp::Eq, probe_key, probe_key);
   LogicalPtr probe_shape =
       probe_base->op == LOp::Filter
           ? algebra::filter(probe_base->child,
@@ -879,7 +841,8 @@ physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
                  "bind join candidates come from project-topped branches");
   physical::PhysicalPtr joined = physical::make_bind_join(
       std::move(build_plan), probe.extent->repository,
-      probe.extent->wrapper, probe_base, probe_shape, left_key, right_key,
+      probe.extent->wrapper, probe_base, probe_shape,
+      std::move(equi->left_key), std::move(equi->right_key),
       oql::conjoin(residual), branch_logical->child);
   return physical::make_project(std::move(joined), parts.projection,
                                 parts.distinct, branch_logical);

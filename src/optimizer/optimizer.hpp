@@ -43,20 +43,10 @@ struct OptimizerOptions {
   /// planning (optimizer/typecheck.hpp). The paper's own checking is
   /// wrapper-side at run time (§2.1); disable to match it exactly.
   bool static_typecheck = true;
-  /// Mediator equi-join algorithm: hash join by default; merge join on
-  /// request (both are §3.1 "usual physical algorithms"; bench_memdb and
-  /// the E7 mediator ablation characterize the tradeoff).
-  bool prefer_merge_join = false;
   /// Extension (§6.2): consider bind joins for two-source equi joins —
   /// ship the build side's keys into the probe side's submit. Off by
   /// default: it is not in the paper's Prototype-0 plan space.
   bool enable_bind_join = false;
-  /// Columnar batch execution is on (Mediator::Options::vec): equi joins
-  /// whose inputs are both batchable (exec/filter/join/union shapes that
-  /// produce env rows) implement as hash join — the vectorized join —
-  /// even under prefer_merge_join, which keeps governing joins the vec
-  /// runtime would row-fall-back on anyway.
-  bool vec = false;
   /// When false, skip cost comparison and always prefer maximal pushdown
   /// (what the 0/1 default cost implies anyway). Used for ablation.
   bool cost_based = true;

@@ -8,6 +8,24 @@
 
 namespace disco::oql {
 
+const Value& path_step(const Value& base, const std::string& name) {
+  // Semi-structured leniency: nil propagates through paths and a missing
+  // struct field reads as nil ("null is a member of every type, modelling
+  // unavailable attribute data" — type_registry). Heterogeneous document
+  // rows legitimately lack fields; a path over a non-struct non-nil value
+  // is still a type error. Wrapper path evaluation (docstore::DocPath)
+  // mirrors these rules exactly so pushed predicates agree with
+  // mediator-side residuals.
+  if (base.kind() == ValueKind::Null) return base;
+  if (base.kind() != ValueKind::Struct) {
+    throw ExecutionError("path '." + name + "' applied to non-struct value " +
+                         base.to_oql());
+  }
+  if (const Value* found = base.find_field(name)) return *found;
+  static const Value nil = Value::null();
+  return nil;
+}
+
 Value Evaluator::eval(const ExprPtr& expr, const Env& env) const {
   internal_check(expr != nullptr, "cannot evaluate a null expression");
   return eval(*expr, env);
@@ -34,24 +52,8 @@ Value Evaluator::eval(const Expr& expr, const Env& env) const {
       }
       throw ExecutionError("unresolved extent closure '" + expr.name + "*'");
     }
-    case ExprKind::Path: {
-      Value base = eval(expr.child, env);
-      // Semi-structured leniency: nil propagates through paths and a
-      // missing struct field reads as nil ("null is a member of every
-      // type, modelling unavailable attribute data" — type_registry).
-      // Heterogeneous document rows legitimately lack fields; a path
-      // over a non-struct non-nil value is still a type error. Wrapper
-      // path evaluation (docstore::DocPath) mirrors these rules exactly
-      // so pushed predicates agree with mediator-side residuals.
-      if (base.kind() == ValueKind::Null) return Value::null();
-      if (base.kind() != ValueKind::Struct) {
-        throw ExecutionError("path '." + expr.name +
-                             "' applied to non-struct value " +
-                             base.to_oql());
-      }
-      if (const Value* found = base.find_field(expr.name)) return *found;
-      return Value::null();
-    }
+    case ExprKind::Path:
+      return path_step(eval(expr.child, env), expr.name);
     case ExprKind::Unary: {
       Value operand = eval(expr.child, env);
       if (expr.unary_op == UnaryOp::Not) {

@@ -62,6 +62,13 @@ class MapResolver : public CollectionResolver {
   std::unordered_map<std::string, Value> closures_;
 };
 
+/// One path step `base.name` under the mediator's semi-structured rules:
+/// nil propagates, a missing struct field reads as nil, and a step over
+/// any other non-struct value throws ExecutionError. The evaluator's Path
+/// case and the runtime's join keys (physical::EquiKey) both step through
+/// here, so a hash-join key reads exactly what the nested loop evaluates.
+const Value& path_step(const Value& base, const std::string& name);
+
 /// Variable environment (from-clause bindings), chained for correlation.
 class Env {
  public:

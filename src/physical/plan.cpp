@@ -1,7 +1,11 @@
 #include "physical/plan.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "oql/eval.hpp"
 #include "oql/printer.hpp"
+#include "vec/batch.hpp"
 
 namespace disco::physical {
 
@@ -17,8 +21,6 @@ const char* to_string(POp op) {
       return "mkproj";
     case POp::HashJoin:
       return "hashjoin";
-    case POp::MergeJoin:
-      return "mergejoin";
     case POp::NestedLoopJoin:
       return "nljoin";
     case POp::BindJoin:
@@ -27,6 +29,33 @@ const char* to_string(POp op) {
       return "mkunion";
   }
   return "?";
+}
+
+std::optional<EquiKey> EquiKey::of(const oql::ExprPtr& expr) {
+  EquiKey key;
+  const oql::Expr* cursor = expr.get();
+  while (cursor != nullptr && cursor->kind == oql::ExprKind::Path) {
+    key.steps.push_back(cursor->name);
+    cursor = cursor->child.get();
+  }
+  if (key.steps.empty() || cursor == nullptr ||
+      cursor->kind != oql::ExprKind::Ident) {
+    return std::nullopt;
+  }
+  std::reverse(key.steps.begin(), key.steps.end());
+  key.var = cursor->name;
+  key.expr = expr;
+  return key;
+}
+
+const Value& EquiKey::read(const Value& env) const {
+  const Value* value = &env.field(var);
+  for (const std::string& step : steps) value = &oql::path_step(*value, step);
+  return *value;
+}
+
+int EquiKey::column(const vec::Schema& schema) const {
+  return steps.size() == 1 ? schema.index_of(var, steps.front()) : -1;
 }
 
 namespace {
@@ -80,29 +109,15 @@ PhysicalPtr make_project(PhysicalPtr child, oql::ExprPtr projection,
 }
 
 PhysicalPtr make_hash_join(PhysicalPtr left, PhysicalPtr right,
-                           oql::ExprPtr left_key, oql::ExprPtr right_key,
+                           EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
                            algebra::LogicalPtr logical) {
   internal_check(left != nullptr && right != nullptr, "join needs children");
-  internal_check(left_key != nullptr && right_key != nullptr,
+  internal_check(left_key.expr != nullptr && right_key.expr != nullptr,
                  "hash join needs key expressions");
+  internal_check(logical != nullptr && logical->predicate != nullptr,
+                 "hash join needs its logical join predicate");
   auto node = base(POp::HashJoin, std::move(logical));
-  node->left = std::move(left);
-  node->right = std::move(right);
-  node->left_key = std::move(left_key);
-  node->right_key = std::move(right_key);
-  node->predicate = std::move(residual_predicate);
-  return node;
-}
-
-PhysicalPtr make_merge_join(PhysicalPtr left, PhysicalPtr right,
-                            oql::ExprPtr left_key, oql::ExprPtr right_key,
-                            oql::ExprPtr residual_predicate,
-                            algebra::LogicalPtr logical) {
-  internal_check(left != nullptr && right != nullptr, "join needs children");
-  internal_check(left_key != nullptr && right_key != nullptr,
-                 "merge join needs key expressions");
-  auto node = base(POp::MergeJoin, std::move(logical));
   node->left = std::move(left);
   node->right = std::move(right);
   node->left_key = std::move(left_key);
@@ -125,13 +140,15 @@ PhysicalPtr make_nl_join(PhysicalPtr left, PhysicalPtr right,
 PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
                            std::string wrapper, algebra::LogicalPtr remote,
                            algebra::LogicalPtr probe_shape,
-                           oql::ExprPtr left_key, oql::ExprPtr right_key,
+                           EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
                            algebra::LogicalPtr logical) {
   internal_check(left != nullptr && remote != nullptr,
                  "bind join needs a build side and a probe template");
-  internal_check(left_key != nullptr && right_key != nullptr,
+  internal_check(left_key.expr != nullptr && right_key.expr != nullptr,
                  "bind join needs key expressions");
+  internal_check(logical != nullptr && logical->predicate != nullptr,
+                 "bind join needs its logical join predicate");
   auto node = base(POp::BindJoin, std::move(logical));
   node->left = std::move(left);
   node->repository = std::move(repository);
@@ -178,11 +195,8 @@ void render(const PhysicalPtr& plan, std::string& out) {
       out += ")";
       return;
     case POp::HashJoin:
-    case POp::MergeJoin:
-      out += std::string(plan->op == POp::HashJoin ? "hashjoin("
-                                                   : "mergejoin(") +
-             oql::to_oql(plan->left_key) + " = " +
-             oql::to_oql(plan->right_key) + ", ";
+      out += "hashjoin(" + oql::to_oql(plan->left_key.expr) + " = " +
+             oql::to_oql(plan->right_key.expr) + ", ";
       render(plan->left, out);
       out += ", ";
       render(plan->right, out);
@@ -202,8 +216,8 @@ void render(const PhysicalPtr& plan, std::string& out) {
       out += ")";
       return;
     case POp::BindJoin:
-      out += "bindjoin(" + oql::to_oql(plan->left_key) + " = " +
-             oql::to_oql(plan->right_key) + ", ";
+      out += "bindjoin(" + oql::to_oql(plan->left_key.expr) + " = " +
+             oql::to_oql(plan->right_key.expr) + ", ";
       render(plan->left, out);
       out += ", exec(field(" + plan->repository + "), " +
              algebra::to_algebra_string(plan->remote) + " + keys)";

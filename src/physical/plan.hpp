@@ -17,10 +17,15 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "algebra/logical.hpp"
+
+namespace disco::vec {
+struct Schema;
+}
 
 namespace disco::physical {
 
@@ -30,7 +35,6 @@ enum class POp {
   Filter,   ///< mediator-side predicate
   Project,  ///< mediator-side projection (the paper's mkproj)
   HashJoin,
-  MergeJoin,  ///< §3.1 names merge-join as a DISCO physical algorithm
   NestedLoopJoin,
   /// Bind join (extension; §6.2 "future work ... extend the logical
   /// model"): evaluate the build side, then ship its distinct join keys
@@ -43,6 +47,28 @@ enum class POp {
 };
 
 const char* to_string(POp op);
+
+/// One input's side of an equi-join key: a path rooted on a variable of
+/// that input, flat (`x.id`) or nested (`x.meta.site`). The optimizer
+/// decides the key once; the runtime reads keys only through it.
+struct EquiKey {
+  std::string var;                 ///< the root variable
+  std::vector<std::string> steps;  ///< field steps below it, at least one
+  oql::ExprPtr expr;               ///< the path expression it came from
+
+  /// The key of a variable-rooted path chain; nullopt for any other
+  /// expression.
+  static std::optional<EquiKey> of(const oql::ExprPtr& expr);
+  /// The key's value in an env row struct(var: row, ...), stepped under
+  /// the evaluator's path rules (oql::path_step): nil propagates, a
+  /// missing field reads as nil, a step over a non-struct value throws
+  /// ExecutionError.
+  const Value& read(const Value& env) const;
+  /// The key's column in an env batch: the (var, attr) column of a
+  /// one-step key, or -1 when the batch holds no such column (the join
+  /// then runs on rows).
+  int column(const vec::Schema& schema) const;
+};
 
 struct Physical;
 using PhysicalPtr = std::shared_ptr<const Physical>;
@@ -67,13 +93,13 @@ struct Physical {
   oql::ExprPtr projection;
   bool distinct = false;
 
-  // Hash join / bind join key: var-attribute paths.
-  oql::ExprPtr left_key, right_key;
+  // Hash join / bind join: the equi key of each input.
+  EquiKey left_key, right_key;
   /// BindJoin: past this many distinct build-side keys the probe side is
   /// fetched whole instead (the disjunction would dwarf the data).
   size_t max_bind_keys = 100;
   /// BindJoin: canonical shape of the probe submit — `remote` with a
-  /// single placeholder key bound on `right_key`, mirroring how the
+  /// single placeholder key bound on `right_key`'s path, mirroring how the
   /// runtime composes the real probe. Cost-history observations of the
   /// probe are recorded under this shape (not under `remote`), so the
   /// optimizer can later estimate "what does one bound probe cost at
@@ -98,26 +124,26 @@ PhysicalPtr make_filter(PhysicalPtr child, oql::ExprPtr predicate,
                         algebra::LogicalPtr logical);
 PhysicalPtr make_project(PhysicalPtr child, oql::ExprPtr projection,
                          bool distinct, algebra::LogicalPtr logical);
+/// Hash join on `left_key = right_key`; `logical` is the join whose
+/// predicate the nested loop evaluates when a key read throws.
 PhysicalPtr make_hash_join(PhysicalPtr left, PhysicalPtr right,
-                           oql::ExprPtr left_key, oql::ExprPtr right_key,
+                           EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
                            algebra::LogicalPtr logical);
-PhysicalPtr make_merge_join(PhysicalPtr left, PhysicalPtr right,
-                            oql::ExprPtr left_key, oql::ExprPtr right_key,
-                            oql::ExprPtr residual_predicate,
-                            algebra::LogicalPtr logical);
 PhysicalPtr make_nl_join(PhysicalPtr left, PhysicalPtr right,
                          oql::ExprPtr predicate, algebra::LogicalPtr logical);
 /// Bind join: `remote` is the probe side's base expression (a get, or a
 /// filter over a get, in mediator name space) executed at
 /// `repository`/`wrapper` with the build side's keys appended as a
-/// disjunctive equality filter on `right_key`. `probe_shape` (may be
-/// null) is the canonical one-key probe expression used as the cost
-/// history record key for probe observations.
+/// disjunctive equality filter on `right_key`'s path. `probe_shape` (may
+/// be null) is the canonical one-key probe expression used as the cost
+/// history record key for probe observations. `logical` is the branch's
+/// filtered join, whose predicate the nested loop evaluates when a key
+/// read throws.
 PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
                            std::string wrapper, algebra::LogicalPtr remote,
                            algebra::LogicalPtr probe_shape,
-                           oql::ExprPtr left_key, oql::ExprPtr right_key,
+                           EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
                            algebra::LogicalPtr logical);
 PhysicalPtr make_union(std::vector<PhysicalPtr> children,

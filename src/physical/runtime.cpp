@@ -174,7 +174,6 @@ void Runtime::prefetch_execs(const PhysicalPtr& plan) {
       prefetch_execs(plan->child);
       return;
     case POp::HashJoin:
-    case POp::MergeJoin:
     case POp::NestedLoopJoin:
       prefetch_execs(plan->left);
       prefetch_execs(plan->right);
@@ -224,11 +223,7 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
       }
       if (!in.batch.has_value()) {
         for (const Value& env : in.data) {
-          oql::Env scope;
-          for (const auto& [var, row] : env.fields()) scope.bind(var, row);
-          if (evaluator_.eval(node->predicate, scope).as_bool()) {
-            out.data.push_back(env);
-          }
+          if (holds(node->predicate, env)) out.data.push_back(env);
         }
       }
       // filter(union(d, r)) = union(filter(d), filter(r)).
@@ -280,7 +275,6 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
       return out;
     }
     case POp::HashJoin:
-    case POp::MergeJoin:
     case POp::NestedLoopJoin:
       return eval_join(*node);
     case POp::BindJoin:
@@ -611,14 +605,6 @@ Runtime::Outcome Runtime::settle(const SourceCall& call) {
 
 namespace {
 
-/// Extracts the (var, attribute) of a hash-key path.
-std::pair<std::string, std::string> key_parts(const oql::ExprPtr& key) {
-  internal_check(key->kind == oql::ExprKind::Path &&
-                     key->child->kind == oql::ExprKind::Ident,
-                 "hash key must be var.attribute");
-  return {key->child->name, key->name};
-}
-
 Value merge_envs(const Value& a, const Value& b) {
   std::vector<std::pair<std::string, Value>> fields = a.fields();
   fields.insert(fields.end(), b.fields().begin(), b.fields().end());
@@ -626,6 +612,64 @@ Value merge_envs(const Value& a, const Value& b) {
 }
 
 }  // namespace
+
+bool Runtime::holds(const oql::ExprPtr& predicate, const Value& env) const {
+  if (predicate == nullptr) return true;
+  oql::Env scope;
+  for (const auto& [var, row] : env.fields()) scope.bind(var, row);
+  return evaluator_.eval(predicate, scope).as_bool();
+}
+
+std::vector<Value> Runtime::nested_loop(const oql::ExprPtr& predicate,
+                                        const std::vector<Value>& left,
+                                        const std::vector<Value>& right) const {
+  std::vector<Value> out;
+  for (const Value& lenv : left) {
+    for (const Value& renv : right) {
+      Value merged = merge_envs(lenv, renv);
+      if (holds(predicate, merged)) out.push_back(std::move(merged));
+    }
+  }
+  return out;
+}
+
+std::vector<Value> Runtime::hash_join(const Physical& node,
+                                      const std::vector<Value>& left,
+                                      const std::vector<Value>& right) const {
+  // An empty side reads no key, as the nested loop evaluates no pair.
+  if (left.empty() || right.empty()) return {};
+  std::vector<const Value*> left_keys;
+  std::vector<const Value*> right_keys;
+  left_keys.reserve(left.size());
+  right_keys.reserve(right.size());
+  try {
+    for (const Value& env : right) {
+      right_keys.push_back(&node.right_key.read(env));
+    }
+    for (const Value& env : left) left_keys.push_back(&node.left_key.read(env));
+  } catch (const ExecutionError&) {
+    // A key step over a non-struct value: the nested loop over the node's
+    // logical predicate throws (or short-circuits) exactly where a plan
+    // without a key would.
+    return nested_loop(node.logical->predicate, left, right);
+  }
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets;
+  for (size_t r = 0; r < right.size(); ++r) {
+    buckets[right_keys[r]->hash()].push_back(r);
+  }
+  std::vector<Value> out;
+  for (size_t l = 0; l < left.size(); ++l) {
+    const Value& key = *left_keys[l];
+    auto it = buckets.find(key.hash());
+    if (it == buckets.end()) continue;
+    for (size_t r : it->second) {
+      if (*right_keys[r] != key) continue;
+      Value merged = merge_envs(left[l], right[r]);
+      if (holds(node.predicate, merged)) out.push_back(std::move(merged));
+    }
+  }
+  return out;
+}
 
 Runtime::Outcome Runtime::eval_join(const Physical& node) {
   Outcome left = eval(node.left);
@@ -646,11 +690,8 @@ Runtime::Outcome Runtime::eval_join(const Physical& node) {
       right.batch.has_value() &&
       left.batch->schema.shape == vec::RowShape::Env &&
       right.batch->schema.shape == vec::RowShape::Env) {
-    auto [left_var, left_attr] = key_parts(node.left_key);
-    auto [right_var, right_attr] = key_parts(node.right_key);
-    const int left_col = left.batch->schema.index_of(left_var, left_attr);
-    const int right_col =
-        right.batch->schema.index_of(right_var, right_attr);
+    const int left_col = node.left_key.column(left.batch->schema);
+    const int right_col = node.right_key.column(right.batch->schema);
     bool vec_ok = left_col >= 0 && right_col >= 0;
     std::optional<vec::PredicateProgram> residual_program;
     if (vec_ok && node.predicate != nullptr) {
@@ -678,97 +719,9 @@ Runtime::Outcome Runtime::eval_join(const Physical& node) {
   }
   ensure_rows(&left);
   ensure_rows(&right);
-
-  auto residual_ok = [&](const Value& env) {
-    if (node.predicate == nullptr) return true;
-    oql::Env scope;
-    for (const auto& [var, row] : env.fields()) scope.bind(var, row);
-    return evaluator_.eval(node.predicate, scope).as_bool();
-  };
-
-  if (node.op == POp::MergeJoin) {
-    auto [left_var, left_attr] = key_parts(node.left_key);
-    auto [right_var, right_attr] = key_parts(node.right_key);
-    auto key_of = [](const Value& env, const std::string& var,
-                     const std::string& attr) -> const Value& {
-      return env.field(var).field(attr);
-    };
-    std::sort(left.data.begin(), left.data.end(),
-              [&](const Value& a, const Value& b) {
-                return Value::compare(key_of(a, left_var, left_attr),
-                                      key_of(b, left_var, left_attr)) < 0;
-              });
-    std::sort(right.data.begin(), right.data.end(),
-              [&](const Value& a, const Value& b) {
-                return Value::compare(key_of(a, right_var, right_attr),
-                                      key_of(b, right_var, right_attr)) < 0;
-              });
-    size_t i = 0;
-    size_t j = 0;
-    while (i < left.data.size() && j < right.data.size()) {
-      // The run keys are hoisted once per run: recomputing the struct
-      // field lookups inside the run-detection conditions costs O(run²).
-      const Value& lkey = key_of(left.data[i], left_var, left_attr);
-      const Value& rkey = key_of(right.data[j], right_var, right_attr);
-      int c = Value::compare(lkey, rkey);
-      if (c < 0) {
-        ++i;
-      } else if (c > 0) {
-        ++j;
-      } else {
-        // Cross product of the equal-key runs.
-        size_t i_end = i + 1;
-        while (i_end < left.data.size() &&
-               Value::compare(key_of(left.data[i_end], left_var, left_attr),
-                              lkey) == 0) {
-          ++i_end;
-        }
-        size_t j_end = j + 1;
-        while (j_end < right.data.size() &&
-               Value::compare(key_of(right.data[j_end], right_var, right_attr),
-                              rkey) == 0) {
-          ++j_end;
-        }
-        for (size_t a = i; a < i_end; ++a) {
-          for (size_t b = j; b < j_end; ++b) {
-            Value merged = merge_envs(left.data[a], right.data[b]);
-            if (residual_ok(merged)) out.data.push_back(std::move(merged));
-          }
-        }
-        i = i_end;
-        j = j_end;
-      }
-    }
-    return out;
-  }
-
-  if (node.op == POp::HashJoin) {
-    auto [right_var, right_attr] = key_parts(node.right_key);
-    auto [left_var, left_attr] = key_parts(node.left_key);
-    std::unordered_map<uint64_t, std::vector<const Value*>> buckets;
-    for (const Value& env : right.data) {
-      const Value& key = env.field(right_var).field(right_attr);
-      buckets[key.hash()].push_back(&env);
-    }
-    for (const Value& lenv : left.data) {
-      const Value& key = lenv.field(left_var).field(left_attr);
-      auto it = buckets.find(key.hash());
-      if (it == buckets.end()) continue;
-      for (const Value* renv : it->second) {
-        if (renv->field(right_var).field(right_attr) != key) continue;
-        Value merged = merge_envs(lenv, *renv);
-        if (residual_ok(merged)) out.data.push_back(std::move(merged));
-      }
-    }
-    return out;
-  }
-
-  for (const Value& lenv : left.data) {
-    for (const Value& renv : right.data) {
-      Value merged = merge_envs(lenv, renv);
-      if (residual_ok(merged)) out.data.push_back(std::move(merged));
-    }
-  }
+  out.data = node.op == POp::HashJoin
+                 ? hash_join(node, left.data, right.data)
+                 : nested_loop(node.predicate, left.data, right.data);
   return out;
 }
 
@@ -786,48 +739,51 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
     return out;  // join over an empty build side is empty
   }
 
-  auto [left_var, left_attr] = key_parts(node.left_key);
-  auto [right_var, right_attr] = key_parts(node.right_key);
-
   // Distinct build-side keys, in deterministic (first-seen) order. Hash
   // buckets with an equality check replace Value::set's full sort — the
   // build side was just materialized, an O(n log n) ordering of deep
-  // values buys nothing here.
+  // values buys nothing here. A key that throws ships no keys at all, as
+  // above max_bind_keys; the join below then takes the nested loop.
   std::vector<Value> keys;
   keys.reserve(left.data.size());
-  std::unordered_map<uint64_t, std::vector<size_t>> seen;
-  for (const Value& env : left.data) {
-    const Value& key = env.field(left_var).field(left_attr);
-    std::vector<size_t>& bucket = seen[key.hash()];
-    bool duplicate = false;
-    for (size_t idx : bucket) {
-      if (keys[idx] == key) {
-        duplicate = true;
-        break;
+  bool keys_read = true;
+  try {
+    std::unordered_map<uint64_t, std::vector<size_t>> seen;
+    for (const Value& env : left.data) {
+      const Value& key = node.left_key.read(env);
+      std::vector<size_t>& bucket = seen[key.hash()];
+      bool duplicate = false;
+      for (size_t idx : bucket) {
+        if (keys[idx] == key) {
+          duplicate = true;
+          break;
+        }
       }
+      if (duplicate) continue;
+      bucket.push_back(keys.size());
+      keys.push_back(key);
     }
-    if (duplicate) continue;
-    bucket.push_back(keys.size());
-    keys.push_back(key);
+  } catch (const ExecutionError&) {
+    keys_read = false;
   }
-  // Ship the keys in key order: a sorted disjunction gives the source's
-  // ordered index a monotone probe sequence (and makes the shipped SQL
-  // canonical for identical key sets regardless of build-side order).
-  std::stable_sort(keys.begin(), keys.end(),
-                   [](const Value& a, const Value& b) {
-                     return Value::compare(a, b) < 0;
-                   });
 
-  // Probe expression: base remote plus the key disjunction — unless the
-  // key set is too large to be worth shipping.
+  // Probe expression: base remote plus the key disjunction over the
+  // probe key's path (a nested key ships as a path predicate) — unless
+  // the key set is too large to be worth shipping.
   algebra::LogicalPtr remote = node.remote;
-  if (keys.size() <= node.max_bind_keys) {
+  if (keys_read && keys.size() <= node.max_bind_keys) {
+    // Ship the keys in key order: a sorted disjunction gives the source's
+    // ordered index a monotone probe sequence (and makes the shipped SQL
+    // canonical for identical key sets regardless of build-side order).
+    std::stable_sort(keys.begin(), keys.end(),
+                     [](const Value& a, const Value& b) {
+                       return Value::compare(a, b) < 0;
+                     });
     std::vector<oql::ExprPtr> terms;
     terms.reserve(keys.size());
     for (const Value& key : keys) {
-      terms.push_back(oql::binary(
-          oql::BinaryOp::Eq,
-          oql::path(oql::ident(right_var), right_attr), oql::literal(key)));
+      terms.push_back(oql::binary(oql::BinaryOp::Eq, node.right_key.expr,
+                                  oql::literal(key)));
     }
     oql::ExprPtr bind_pred = std::move(terms.front());
     for (size_t k = 1; k < terms.size(); ++k) {
@@ -854,29 +810,9 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
     return out;
   }
   ensure_rows(&right);
-
-  // Hash join exactly as POp::HashJoin (the bind filter narrowed the
-  // probe side but per-tuple matching still applies).
-  auto residual_ok = [&](const Value& env) {
-    if (node.predicate == nullptr) return true;
-    oql::Env scope;
-    for (const auto& [var, row] : env.fields()) scope.bind(var, row);
-    return evaluator_.eval(node.predicate, scope).as_bool();
-  };
-  std::unordered_map<uint64_t, std::vector<const Value*>> buckets;
-  for (const Value& env : right.data) {
-    buckets[env.field(right_var).field(right_attr).hash()].push_back(&env);
-  }
-  for (const Value& lenv : left.data) {
-    const Value& key = lenv.field(left_var).field(left_attr);
-    auto it = buckets.find(key.hash());
-    if (it == buckets.end()) continue;
-    for (const Value* renv : it->second) {
-      if (renv->field(right_var).field(right_attr) != key) continue;
-      Value merged = merge_envs(lenv, *renv);
-      if (residual_ok(merged)) out.data.push_back(std::move(merged));
-    }
-  }
+  // The bind filter narrowed the probe side, but per-tuple matching
+  // still applies.
+  out.data = hash_join(node, left.data, right.data);
   return out;
 }
 

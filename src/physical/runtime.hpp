@@ -246,6 +246,20 @@ class Runtime {
   Outcome eval_exec(const Physical& node);
   Outcome eval_join(const Physical& node);
   Outcome eval_bind_join(const Physical& node);
+  /// The row equi-join of HashJoin and BindJoin: buckets `right` on its
+  /// EquiKey, probes with `left`'s, then applies the residual. Keys are
+  /// read only when both sides are non-empty; if any key read throws,
+  /// the join runs the nested loop over the node's logical predicate
+  /// instead, so errors land exactly where the nested loop puts them.
+  std::vector<Value> hash_join(const Physical& node,
+                               const std::vector<Value>& left,
+                               const std::vector<Value>& right) const;
+  /// Every (left, right) env pair that satisfies `predicate`.
+  std::vector<Value> nested_loop(const oql::ExprPtr& predicate,
+                                 const std::vector<Value>& left,
+                                 const std::vector<Value>& right) const;
+  /// `predicate` (null: true) over one env row struct(var: row, ...).
+  bool holds(const oql::ExprPtr& predicate, const Value& env) const;
   /// Collapses an Outcome's columnar form back to rows (no-op without
   /// one). Called on operator fallback and before the final answer.
   void ensure_rows(Outcome* out);

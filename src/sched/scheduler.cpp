@@ -15,8 +15,7 @@ QueryScheduler::QueryScheduler(SchedOptions options, double latency_scale,
       latency_scale_(latency_scale),
       metrics_(metrics) {
   internal_check(options_.per_endpoint_limit >= 1,
-                 "sched: per_endpoint_limit must be >= 1 (the mediator "
-                 "resolves 0 to ExecOptions::workers before construction)");
+                 "sched: per_endpoint_limit must be >= 1");
   internal_check(latency_scale_ > 0, "sched: latency_scale must be > 0");
   for (const auto& [name, limit] : options_.limits) {
     internal_check(limit >= 1, "sched: per-endpoint limit override must "

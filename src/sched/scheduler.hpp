@@ -64,10 +64,10 @@ struct SchedOptions {
   /// Master switch; off by default so the executor's fan-everything-out
   /// behaviour is unchanged unless asked for.
   bool enabled = false;
-  /// Max concurrent in-flight calls per endpoint. 0 = derive from
-  /// ExecOptions::workers (the mediator resolves this before
-  /// constructing the scheduler).
-  size_t per_endpoint_limit = 0;
+  /// Max concurrent in-flight calls per endpoint (at least 1). A call
+  /// waiting for its reply holds no worker, so this is independent of
+  /// ExecOptions::workers.
+  size_t per_endpoint_limit = 4;
   /// Per-repository overrides of per_endpoint_limit (e.g. a fragile
   /// source that tolerates only 2 concurrent requests).
   std::unordered_map<std::string, size_t> limits;

@@ -593,26 +593,6 @@ std::optional<Value> aggregate_table(const Table& table,
   return Value::real(total / static_cast<double>(rows));
 }
 
-bool vec_batchable(const algebra::LogicalPtr& node) {
-  switch (node->op) {
-    case algebra::LOp::Get:
-      return true;
-    case algebra::LOp::Filter:
-      return vec_batchable(node->child);
-    case algebra::LOp::Submit:
-      return vec_batchable(node->child);
-    case algebra::LOp::Join:
-      return vec_batchable(node->left) && vec_batchable(node->right);
-    case algebra::LOp::Union:
-      for (const algebra::LogicalPtr& child : node->children) {
-        if (!vec_batchable(child)) return false;
-      }
-      return !node->children.empty();
-    default:
-      return false;
-  }
-}
-
 std::optional<Schema> static_schema(const algebra::LogicalPtr& remote,
                                     const catalog::Catalog& catalog) {
   Schema schema;

@@ -115,14 +115,7 @@ bool concat_tables(Table* into, Table&& part);
 std::optional<Value> aggregate_table(const Table& table,
                                      const std::string& fn);
 
-// -- static eligibility (optimizer / explain) ------------------------------
-
-/// Static shape test: does this logical subtree produce env rows the
-/// converters accept (get/filter/join/union/submit shapes)? Projections
-/// compute values and constants are data-dependent — both false. Used by
-/// the optimizer's vec-aware join choice; actual rows can still fall
-/// back (a source may return non-flat values), which is always safe.
-bool vec_batchable(const algebra::LogicalPtr& node);
+// -- static eligibility (explain) -------------------------------------------
 
 /// The Env schema an exec leaf's reply will have, derived from the
 /// remote expression's get nodes and the catalog's interfaces — the

@@ -225,6 +225,9 @@ class Translator {
       if (v.is_collection() || v.kind() == ValueKind::Struct) {
         return Refusal{"collection literal in a source predicate"};
       }
+      // OQL spells the nil literal `nil`; MiniSQL spells it NULL (a bind
+      // join ships nil keys).
+      if (v.is_null()) return std::string("NULL");
       return v.to_oql();
     }
     if (expr.kind == oql::ExprKind::Path) {

@@ -341,17 +341,6 @@ TEST_F(OptimizerTest, CostModelPrefersPushdownUnderDefaults) {
   EXPECT_EQ(text.find("mkproj"), std::string::npos) << text;
 }
 
-TEST_F(OptimizerTest, MergeJoinOnRequest) {
-  OptimizerOptions options;
-  options.prefer_merge_join = true;
-  std::string text = plan_text(
-      "select struct(a: x.name, b: y.name) from x in person0, "
-      "y in person1 where x.id = y.id",
-      options);
-  EXPECT_NE(text.find("mergejoin(x.id = y.id"), std::string::npos) << text;
-  EXPECT_EQ(text.find("hashjoin"), std::string::npos) << text;
-}
-
 TEST_F(OptimizerTest, JoinOrderAvoidsCrossProducts) {
   // `from x in a, y in b, z in c where x.id = z.id and y.id = z.id`: a
   // naive left-deep order joins a and b with no predicate (cross

@@ -119,46 +119,32 @@ TEST_F(RuntimeTest, HashJoinMatchesNestedLoop) {
   EXPECT_EQ(env.field("y").field("name"), Value::string("Sam"));
 }
 
-TEST_F(RuntimeTest, MergeJoinMatchesHashJoin) {
-  // Duplicate keys on both sides exercise the equal-run cross product.
+TEST_F(RuntimeTest, HashJoinMatchesNestedLoopOnDuplicateKeys) {
+  // Duplicate keys on both sides: every equal-key pair comes out.
   world_.db0.table("person0").insert(
       {Value::integer(1), Value::string("Mary2"), Value::integer(300)});
   world_.db1.table("person1").insert(
       {Value::integer(1), Value::string("Ann"), Value::integer(70)});
-  auto left_logical = submit("r0", get("person0", "x"));
-  auto right_logical = submit("r1", get("person1", "y"));
-  auto join_logical = algebra::join(left_logical, right_logical,
-                                    parse("x.id = y.id"));
-  auto hash = make_hash_join(exec_get("r0", "person0", "x"),
-                             exec_get("r1", "person1", "y"),
-                             parse("x.id"), parse("y.id"), nullptr,
-                             join_logical);
-  auto merge = make_merge_join(exec_get("r0", "person0", "x"),
-                               exec_get("r1", "person1", "y"),
-                               parse("x.id"), parse("y.id"), nullptr,
-                               join_logical);
-  Runtime r1(context());
-  RunResult hash_result = r1.run(hash);
-  Runtime r2(context());
-  RunResult merge_result = r2.run(merge);
-  EXPECT_EQ(hash_result.data, merge_result.data);
-  EXPECT_EQ(merge_result.data.size(), 2u);  // Mary-Ann and Mary2-Ann
-}
-
-TEST_F(RuntimeTest, MergeJoinResidualPropagation) {
-  world_.mediator.network().set_availability(
-      "r1", net::Availability::always_down());
+  world_.db1.table("person1").insert(
+      {Value::integer(1), Value::string("Bob"), Value::integer(80)});
   auto join_logical =
       algebra::join(submit("r0", get("person0", "x")),
                     submit("r1", get("person1", "y")), parse("x.id = y.id"));
-  auto merge = make_merge_join(exec_get("r0", "person0", "x"),
-                               exec_get("r1", "person1", "y"),
-                               parse("x.id"), parse("y.id"), nullptr,
-                               join_logical);
-  Runtime runtime(context());
-  RunResult result = runtime.run(merge);
-  EXPECT_FALSE(result.complete());
-  EXPECT_EQ(result.residuals.size(), 1u);
+  auto hash = make_hash_join(exec_get("r0", "person0", "x"),
+                             exec_get("r1", "person1", "y"),
+                             *EquiKey::of(parse("x.id")),
+                             *EquiKey::of(parse("y.id")), nullptr,
+                             join_logical);
+  auto nl = make_nl_join(exec_get("r0", "person0", "x"),
+                         exec_get("r1", "person1", "y"),
+                         parse("x.id = y.id"), join_logical);
+  Runtime r1(context());
+  RunResult hash_result = r1.run(hash);
+  Runtime r2(context());
+  RunResult nl_result = r2.run(nl);
+  EXPECT_EQ(hash_result.data, nl_result.data);
+  // Mary and Mary2 each with Ann and Bob.
+  EXPECT_EQ(hash_result.data.size(), 4u);
 }
 
 TEST_F(RuntimeTest, UnavailableSourceBecomesResidual) {

@@ -361,6 +361,22 @@ TEST(MediatorSchedTest, DisabledByDefaultAndInVirtualTimeMode) {
   EXPECT_TRUE(a.complete());
 }
 
+TEST(MediatorSchedTest, DefaultLimitIsFourWhateverTheWorkerCount) {
+  // A call waiting for its reply holds no worker, so the per-source limit
+  // does not follow exec.workers.
+  for (size_t workers : {size_t{1}, size_t{8}}) {
+    Mediator::Options options;
+    options.exec.workers = workers;
+    options.exec.latency_scale = 0.01;
+    options.sched.enabled = true;
+    SchedFederation federation(1, 1, options);
+    ASSERT_TRUE(
+        federation.mediator->query("select x.name from x in person")
+            .complete());
+    EXPECT_EQ(federation.mediator->sched_stats("r0").limit, 4u) << workers;
+  }
+}
+
 TEST(MediatorSchedTest, AdmitsEveryCallWhenUncontended) {
   SchedFederation federation(2, 2, sched_options(4, 2));
   Answer answer =

@@ -820,28 +820,6 @@ TEST(VecAggregate, EdgeSemanticsMirrorTheEvaluator) {
 
 // -- static eligibility ------------------------------------------------------
 
-TEST(VecStatic, BatchableWalksTheLogicalShapes) {
-  using algebra::get;
-  const oql::ExprPtr pred = oql::parse("x.salary > 10");
-  EXPECT_TRUE(vec::vec_batchable(get("person0", "x")));
-  EXPECT_TRUE(vec::vec_batchable(algebra::filter(get("person0", "x"), pred)));
-  EXPECT_TRUE(vec::vec_batchable(
-      algebra::submit("r0", algebra::filter(get("person0", "x"), pred))));
-  EXPECT_TRUE(vec::vec_batchable(
-      algebra::join(get("person0", "x"), get("person1", "y"), pred)));
-  EXPECT_TRUE(vec::vec_batchable(algebra::union_of(
-      {get("person0", "x"), get("person1", "x")})));
-  // Projections compute values; constants are data-dependent.
-  EXPECT_FALSE(vec::vec_batchable(
-      algebra::project(get("person0", "x"), oql::parse("x.name"), false)));
-  EXPECT_FALSE(vec::vec_batchable(algebra::constant(Value::bag({}))));
-  // One bad side poisons joins and unions.
-  EXPECT_FALSE(vec::vec_batchable(algebra::join(
-      get("person0", "x"), algebra::constant(Value::bag({})), pred)));
-  EXPECT_FALSE(vec::vec_batchable(algebra::union_of(
-      {get("person0", "x"), algebra::constant(Value::bag({}))})));
-}
-
 TEST(VecStatic, StaticSchemaMirrorsTheCatalogInterfaces) {
   testing::PaperWorld world;
   const catalog::Catalog& catalog = world.mediator.catalog();
