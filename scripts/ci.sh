@@ -10,6 +10,9 @@
 #                                 # under ASan+UBSan and run every suite
 #   DISCO_BENCH=1 scripts/ci.sh   # additionally run the experiment
 #                                 # benches (writes BENCH_*.json)
+#   DISCO_PERFBENCH=1 scripts/ci.sh  # additionally run the repository
+#                                    # benchmark's self-test (builds into
+#                                    # .bench_build/)
 #   DISCO_COVERAGE=1 scripts/ci.sh  # additionally build instrumented,
 #                                   # run the vec/memdb/docstore suites
 #                                   # and gate their line coverage
@@ -71,6 +74,14 @@ if [[ "${DISCO_BENCH:-0}" != "0" ]]; then
   "$repo/build/bench/bench_vectorized" "$repo/BENCH_vectorized.json"
   echo "== docsource bench (path pushdown vs whole-doc fetch, 5x bar) =="
   "$repo/build/bench/bench_docsource" "$repo/BENCH_docsource.json"
+fi
+
+if [[ "${DISCO_PERFBENCH:-0}" != "0" ]]; then
+  # Smoke-runs every perfbench workload, untraced and traced, checks each
+  # answer against the reference mediator, and requires one seed's exact
+  # counts to repeat.
+  echo "== perfbench self-test =="
+  (cd "$repo" && python3 perfbench/run.py --selftest)
 fi
 
 if [[ "${DISCO_COVERAGE:-0}" != "0" ]]; then

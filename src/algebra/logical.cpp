@@ -209,6 +209,11 @@ std::string signature(const LogicalPtr& expr) {
   return out;
 }
 
+CostKeyPtr cost_key(const LogicalPtr& expr) {
+  return std::make_shared<const CostKey>(
+      CostKey{to_algebra_string(expr), signature(expr)});
+}
+
 namespace {
 
 void collect_vars(const LogicalPtr& expr, std::vector<std::string>& out) {

@@ -89,6 +89,18 @@ std::string to_algebra_string(const LogicalPtr& expr);
 /// signature — the paper's "close match" (§3.3).
 std::string signature(const LogicalPtr& expr);
 
+/// The two §3.3 cost-history keys of one shipped expression, rendered
+/// once. Plan nodes carry one per source call, so estimating, recording
+/// and the result cache's lookup read it instead of rendering the tree
+/// again.
+struct CostKey {
+  std::string text;       ///< to_algebra_string: exact matches, cache key
+  std::string signature;  ///< signature: close matches
+};
+using CostKeyPtr = std::shared_ptr<const CostKey>;
+
+CostKeyPtr cost_key(const LogicalPtr& expr);
+
 /// Binding variables produced by this subtree, in join order.
 std::vector<std::string> bound_vars(const LogicalPtr& expr);
 

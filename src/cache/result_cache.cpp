@@ -48,10 +48,10 @@ ResultCache::ResultCache(CacheOptions options, Clock clock)
     : options_(options), clock_(std::move(clock)) {}
 
 std::string ResultCache::make_key(const std::string& repository,
-                                  const algebra::LogicalPtr& remote) {
+                                  const std::string& remote_text) {
   // '\n' cannot appear in a repository name or the algebra text, so the
   // pair is unambiguous.
-  return repository + '\n' + algebra::to_algebra_string(remote);
+  return repository + '\n' + remote_text;
 }
 
 uint64_t ResultCache::repo_generation_locked(
@@ -87,7 +87,12 @@ void ResultCache::evict_over_budget_locked() {
 
 ResultCache::Lookup ResultCache::get_or_begin(
     const std::string& repository, const algebra::LogicalPtr& remote) {
-  const std::string key = make_key(repository, remote);
+  return get_or_begin(repository, algebra::to_algebra_string(remote));
+}
+
+ResultCache::Lookup ResultCache::get_or_begin(const std::string& repository,
+                                              const std::string& remote_text) {
+  const std::string key = make_key(repository, remote_text);
   for (;;) {
     {
       // Fast path: a fresh entry under the shared lock. Recency is an
@@ -200,7 +205,12 @@ void ResultCache::abandon(const std::shared_ptr<Ticket::Flight>& flight) {
 
 bool ResultCache::contains(const std::string& repository,
                            const algebra::LogicalPtr& remote) const {
-  const std::string key = make_key(repository, remote);
+  return contains(repository, algebra::to_algebra_string(remote));
+}
+
+bool ResultCache::contains(const std::string& repository,
+                           const std::string& remote_text) const {
+  const std::string key = make_key(repository, remote_text);
   std::shared_lock lock(mutex_);
   auto it = entries_.find(key);
   return it != entries_.end() && fresh(*it->second);

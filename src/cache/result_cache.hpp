@@ -102,10 +102,11 @@ class ResultCache {
 
   /// The canonical cache key: repository plus the exact algebra text of
   /// the shipped expression (the same serialization the §3.3 cost
-  /// history keys on). Bind-join probes include their key disjunction in
-  /// `remote`, so different build sides cache separately.
+  /// history keys on, algebra::CostKey::text). Bind-join probes include
+  /// their key disjunction in the text, so different build sides cache
+  /// separately.
   static std::string make_key(const std::string& repository,
-                              const algebra::LogicalPtr& remote);
+                              const std::string& remote_text);
 
   /// Move-only leader obligation: exactly one publish(), or abandonment
   /// on destruction (exception safety — a dead leader must not leave
@@ -150,6 +151,9 @@ class ResultCache {
   /// (Lead). When a leader abandons, its waiters re-race: one becomes
   /// the new leader, so a flight is never orphaned.
   Lookup get_or_begin(const std::string& repository,
+                      const std::string& remote_text);
+  /// Same, rendering `remote` first.
+  Lookup get_or_begin(const std::string& repository,
                       const algebra::LogicalPtr& remote);
 
   /// Leader success: stores the entry (unless the world moved since the
@@ -159,6 +163,9 @@ class ResultCache {
 
   /// True when a fresh entry for this submit is stored right now (no
   /// stats or recency side effects — explain's "served from cache").
+  bool contains(const std::string& repository,
+                const std::string& remote_text) const;
+  /// Same, rendering `remote` first.
   bool contains(const std::string& repository,
                 const algebra::LogicalPtr& remote) const;
 

@@ -342,7 +342,7 @@ physical::ExecContext Mediator::make_context(
     const bool ok = call.outcome == Outcome::Ok;
     tracker_->on_outcome(call.repository, ok, call.latency_s);
     if (ok || call.outcome == Outcome::Timeout) {
-      history_.record(call.repository, call.shape, call.latency_s,
+      history_.record(call.repository, *call.cost_key, call.latency_s,
                       call.reply.data.size());
     }
   };
@@ -668,21 +668,20 @@ void collect_submits(const physical::PhysicalPtr& node,
     Mediator::ExplainReport::Submit submit;
     submit.repository = node->repository;
     submit.wrapper = node->wrapper;
-    submit.remote = algebra::to_algebra_string(node->remote);
+    submit.remote = node->remote_key->text;
     submit.bind_join = node->op == physical::POp::BindJoin;
     // Bind joins ship the base remote *plus* a run-time key disjunction,
     // so only the non-bound key can be probed statically; a "cached"
     // bind join means its exact probe was cached (keys included) only
     // when the plan degenerates to the base remote.
-    submit.cached =
-        cache != nullptr && cache->contains(node->repository, node->remote);
-    // Bind-join probes are recorded (and costed) under the plan's
-    // canonical one-key probe_shape, so report the estimate the Coster
-    // actually consulted.
+    submit.cached = cache != nullptr &&
+                    cache->contains(node->repository, node->remote_key->text);
+    // Bind-join probes that ship keys are recorded (and costed) under the
+    // plan's canonical one-key probe_shape, so report the estimate the
+    // Coster actually consulted.
     submit.learned = history.estimate(
         node->repository,
-        submit.bind_join && node->probe_shape != nullptr ? node->probe_shape
-                                                         : node->remote);
+        submit.bind_join ? *node->probe_key : *node->remote_key);
     out->push_back(std::move(submit));
   }
   collect_submits(node->child, history, cache, out);
@@ -854,8 +853,7 @@ std::string Mediator::ExplainReport::to_string() const {
          std::to_string(prune.extents_total) + " extents considered, " +
          std::to_string(prune.pruned_by_type) + " pruned by type; " +
          std::to_string(prune.grammar_consultations) +
-         " grammar consultations (" +
-         std::to_string(prune.grammar_memo_hits) + " memo hits), " +
+         " grammar consultations, " +
          std::to_string(prune.variants_skipped) +
          " variants shape-shared\n";
   out += "estimated: net " + std::to_string(estimated.net_s) + "s, cpu " +

@@ -258,8 +258,11 @@ class Mediator {
     optimizer::Cost estimated;
     size_t plans_considered = 0;
     /// Federation-scale pruning counters: how much of the registered
-    /// extent world planning touched, and what the grammar memo / shape
-    /// sharing saved (src/fedcat/).
+    /// extent world planning touched, and what the grammar verdict tables
+    /// / shape sharing saved (src/fedcat/). to_string() leaves out the
+    /// memo-hit count: verdict tables outlive a query, so it depends on
+    /// what was planned before, and explain text stays a function of the
+    /// catalog, the learned costs and the query.
     optimizer::PruneStats prune;
     std::vector<Submit> submits;
     std::vector<optimizer::PushdownDecision> decisions;

@@ -12,12 +12,14 @@ MediatorWrapper::MediatorWrapper(Mediator* remote) : remote_(remote) {
 }
 
 grammar::Grammar MediatorWrapper::capabilities() const {
-  return grammar::CapabilitySet{.get = true,
-                                .project = true,
-                                .select = true,
-                                .join = true,
-                                .compose = true}
-      .to_grammar();
+  static const grammar::Grammar grammar =
+      grammar::CapabilitySet{.get = true,
+                             .project = true,
+                             .select = true,
+                             .join = true,
+                             .compose = true}
+          .to_grammar();
+  return grammar;
 }
 
 wrapper::SubmitResult MediatorWrapper::submit(

@@ -65,12 +65,14 @@ std::shared_ptr<MediatorSource> MediatorSource::connect(
 }
 
 grammar::Grammar MediatorSource::capabilities() const {
-  return grammar::CapabilitySet{.get = true,
-                                .project = true,
-                                .select = true,
-                                .join = true,
-                                .compose = true}
-      .to_grammar();
+  static const grammar::Grammar grammar =
+      grammar::CapabilitySet{.get = true,
+                             .project = true,
+                             .select = true,
+                             .join = true,
+                             .compose = true}
+          .to_grammar();
+  return grammar;
 }
 
 wrapper::SubmitResult MediatorSource::submit(

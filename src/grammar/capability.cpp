@@ -1,7 +1,10 @@
 #include "grammar/capability.hpp"
 
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -87,12 +90,39 @@ bool scan_matches(Terminal symbol, Terminal token) {
 
 }  // namespace
 
-Grammar::Grammar(std::string start, std::vector<Production> productions)
-    : start_(std::move(start)), productions_(std::move(productions)) {
-  for (const Production& production : productions_) {
+struct Grammar::Body {
+  std::string start;
+  std::vector<Production> productions;
+  std::string text;
+  /// Token string (one char per terminal) -> recognizes() verdict.
+  mutable std::shared_mutex mutex;
+  mutable std::unordered_map<std::string, bool> verdicts;
+};
+
+Grammar::Grammar(std::string start, std::vector<Production> productions) {
+  auto body = std::make_shared<Body>();
+  body->start = std::move(start);
+  body->productions = std::move(productions);
+  for (const Production& production : body->productions) {
     internal_check(!production.head.empty(), "production with empty head");
+    body->text += production.head + " :-";
+    for (const Symbol& symbol : production.body) {
+      body->text += ' ';
+      body->text += symbol.is_terminal ? to_string(symbol.terminal)
+                                       : symbol.nonterminal.c_str();
+    }
+    body->text += '\n';
   }
+  body_ = std::move(body);
 }
+
+const std::string& Grammar::start() const { return body_->start; }
+
+const std::vector<Production>& Grammar::productions() const {
+  return body_->productions;
+}
+
+const std::string& Grammar::to_text() const { return body_->text; }
 
 Grammar Grammar::parse(const std::string& text) {
   std::vector<Production> productions;
@@ -134,27 +164,15 @@ Grammar Grammar::parse(const std::string& text) {
   return Grammar(std::move(start), std::move(productions));
 }
 
-std::string Grammar::to_text() const {
-  std::string out;
-  for (const Production& production : productions_) {
-    out += production.head + " :-";
-    for (const Symbol& symbol : production.body) {
-      out += ' ';
-      out += symbol.is_terminal ? to_string(symbol.terminal)
-                                : symbol.nonterminal.c_str();
-    }
-    out += '\n';
-  }
-  return out;
-}
-
 // Earley recognizer. Grammars are tiny (a handful of productions) and
 // sentences short (tens of tokens), so the cubic worst case is irrelevant;
 // Earley is chosen because it handles any CFG a wrapper might return,
 // including ambiguous and left-recursive ones.
 bool Grammar::recognizes(const std::vector<Terminal>& tokens) const {
+  const std::vector<Production>& productions = body_->productions;
+  const std::string& start = body_->start;
   struct Item {
-    size_t production;  // index into productions_
+    size_t production;  // index into productions
     size_t dot;         // position in body
     size_t origin;      // chart index where this item started
     bool operator==(const Item& other) const = default;
@@ -169,20 +187,20 @@ bool Grammar::recognizes(const std::vector<Terminal>& tokens) const {
     chart[position].push_back(item);
   };
 
-  for (size_t p = 0; p < productions_.size(); ++p) {
-    if (productions_[p].head == start_) add(0, Item{p, 0, 0});
+  for (size_t p = 0; p < productions.size(); ++p) {
+    if (productions[p].head == start) add(0, Item{p, 0, 0});
   }
 
   for (size_t position = 0; position <= n; ++position) {
     // chart[position] grows while we scan it.
     for (size_t i = 0; i < chart[position].size(); ++i) {
       Item item = chart[position][i];
-      const Production& production = productions_[item.production];
+      const Production& production = productions[item.production];
       if (item.dot == production.body.size()) {
         // Completion: advance every item waiting on this head.
         for (size_t j = 0; j < chart[item.origin].size(); ++j) {
           Item waiting = chart[item.origin][j];
-          const Production& wp = productions_[waiting.production];
+          const Production& wp = productions[waiting.production];
           if (waiting.dot < wp.body.size() &&
               !wp.body[waiting.dot].is_terminal &&
               wp.body[waiting.dot].nonterminal == production.head) {
@@ -204,8 +222,8 @@ bool Grammar::recognizes(const std::vector<Terminal>& tokens) const {
         }
       } else {
         // Prediction.
-        for (size_t p = 0; p < productions_.size(); ++p) {
-          if (productions_[p].head == next.nonterminal) {
+        for (size_t p = 0; p < productions.size(); ++p) {
+          if (productions[p].head == next.nonterminal) {
             add(position, Item{p, 0, position});
           }
         }
@@ -214,8 +232,8 @@ bool Grammar::recognizes(const std::vector<Terminal>& tokens) const {
   }
 
   for (const Item& item : chart[n]) {
-    const Production& production = productions_[item.production];
-    if (production.head == start_ && item.origin == 0 &&
+    const Production& production = productions[item.production];
+    if (production.head == start && item.origin == 0 &&
         item.dot == production.body.size()) {
       return true;
     }
@@ -328,10 +346,38 @@ bool serialize(const algebra::LogicalPtr& expr, std::vector<Terminal>& out) {
   return serialize_impl(expr, out, /*as_argument=*/false);
 }
 
+bool Grammar::verdict(const std::vector<Terminal>& tokens, bool* hit) const {
+  std::string key(tokens.size(), '\0');
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    key[i] = static_cast<char>(tokens[i]);
+  }
+  {
+    std::shared_lock lock(body_->mutex);
+    auto it = body_->verdicts.find(key);
+    if (it != body_->verdicts.end()) {
+      if (hit != nullptr) *hit = true;
+      return it->second;
+    }
+  }
+  const bool ok = recognizes(tokens);
+  {
+    std::unique_lock lock(body_->mutex);
+    if (body_->verdicts.size() >= kVerdictCapacity) body_->verdicts.clear();
+    body_->verdicts.emplace(std::move(key), ok);
+  }
+  if (hit != nullptr) *hit = false;
+  return ok;
+}
+
+size_t Grammar::cached_verdicts() const {
+  std::shared_lock lock(body_->mutex);
+  return body_->verdicts.size();
+}
+
 bool Grammar::accepts(const algebra::LogicalPtr& expr) const {
   std::vector<Terminal> tokens;
   if (!serialize(expr, tokens)) return false;
-  return recognizes(tokens);
+  return verdict(tokens);
 }
 
 Grammar CapabilitySet::to_grammar() const {

@@ -24,6 +24,7 @@
 // transformation rule consults the wrapper interface").
 #pragma once
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -86,10 +87,14 @@ struct Production {
   std::vector<Symbol> body;
 };
 
-/// A context-free grammar over the wrapper terminal alphabet.
+/// A context-free grammar over the wrapper terminal alphabet. Copies share
+/// one immutable body and one verdict table, so handing a grammar out by
+/// value costs a reference count.
 class Grammar {
  public:
-  Grammar() = default;
+  /// Most verdicts one grammar's table holds (see verdict()).
+  static constexpr size_t kVerdictCapacity = 1024;
+
   Grammar(std::string start, std::vector<Production> productions);
 
   /// Parses the paper's textual notation, e.g.
@@ -99,21 +104,36 @@ class Grammar {
   /// production is the start symbol. Throws ParseError on malformed text.
   static Grammar parse(const std::string& text);
 
-  /// Earley recognition of `tokens` from the start symbol.
+  /// Earley recognition of `tokens` from the start symbol. Runs the
+  /// recognizer on every call.
   bool recognizes(const std::vector<Terminal>& tokens) const;
 
-  /// Serializes `expr` to the terminal alphabet and recognizes it. Submit
+  /// recognizes(tokens), derived once: a verdict depends only on the
+  /// grammar and the token string, so the first derivation goes into a
+  /// table shared by every copy of this grammar and later calls read it.
+  /// Thread-safe. A client controls how many token shapes the mediator
+  /// sees, so the table is bounded: once it holds kVerdictCapacity
+  /// verdicts it is emptied before the next one goes in. `hit` (optional)
+  /// reports whether the table answered.
+  bool verdict(const std::vector<Terminal>& tokens,
+               bool* hit = nullptr) const;
+
+  /// Serializes `expr` to the terminal alphabet and asks verdict(). Submit
   /// nodes must not appear below the wrapper boundary; Union/Const are not
   /// part of the wrapper language and make accepts() return false.
   bool accepts(const algebra::LogicalPtr& expr) const;
 
-  const std::string& start() const { return start_; }
-  const std::vector<Production>& productions() const { return productions_; }
-  std::string to_text() const;
+  const std::string& start() const;
+  const std::vector<Production>& productions() const;
+  /// The productions in the paper's notation, rendered once. Also the
+  /// grammar's identity: fedcat::ExtentIndex shards extents by it.
+  const std::string& to_text() const;
+  /// Verdicts the table holds now.
+  size_t cached_verdicts() const;
 
  private:
-  std::string start_;
-  std::vector<Production> productions_;
+  struct Body;
+  std::shared_ptr<const Body> body_;
 };
 
 /// Serializes a logical expression into the wrapper terminal language:

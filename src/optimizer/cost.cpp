@@ -17,9 +17,7 @@ bool moved_materially(double before, double after, double threshold) {
 
 }  // namespace
 
-bool CostHistory::update(std::unordered_map<std::string, Entry>& map,
-                         const std::string& key, double time_s, double rows) {
-  Entry& entry = map[key];
+bool CostHistory::update(Entry& entry, double time_s, double rows) const {
   if (entry.count == 0) {
     entry.time_ewma = time_s;
     entry.rows_ewma = rows;
@@ -36,57 +34,66 @@ bool CostHistory::update(std::unordered_map<std::string, Entry>& map,
 }
 
 void CostHistory::record(const std::string& repository,
-                         const algebra::LogicalPtr& remote, double time_s,
+                         const algebra::CostKey& key, double time_s,
                          size_t rows) {
-  internal_check(remote != nullptr, "cannot record a null expression");
   Shard& shard = shard_for(repository);
+  const double row_count = static_cast<double>(rows);
   bool material;
   {
     std::unique_lock lock(shard.mutex);
-    material =
-        update(shard.exact,
-               repository + "|" + algebra::to_algebra_string(remote), time_s,
-               static_cast<double>(rows));
-    update(shard.close, repository + "|" + algebra::signature(remote),
-           time_s, static_cast<double>(rows));
-    update(shard.per_repository, repository, time_s,
-           static_cast<double>(rows));
+    Observed& observed = shard.repositories[repository];
+    material = update(observed.exact[key.text], time_s, row_count);
+    update(observed.close[key.signature], time_s, row_count);
+    update(observed.average, time_s, row_count);
   }
   if (material) {
     version_.fetch_add(1, std::memory_order_release);
   }
 }
 
+void CostHistory::record(const std::string& repository,
+                         const algebra::LogicalPtr& remote, double time_s,
+                         size_t rows) {
+  internal_check(remote != nullptr, "cannot record a null expression");
+  record(repository, *algebra::cost_key(remote), time_s, rows);
+}
+
 CostHistory::Estimate CostHistory::estimate(
-    const std::string& repository, const algebra::LogicalPtr& remote) const {
-  internal_check(remote != nullptr, "cannot estimate a null expression");
+    const std::string& repository, const algebra::CostKey& key) const {
   Shard& shard = shard_for(repository);
   std::shared_lock lock(shard.mutex);
-  auto exact_it =
-      shard.exact.find(repository + "|" + algebra::to_algebra_string(remote));
-  if (exact_it != shard.exact.end()) {
+  auto repo_it = shard.repositories.find(repository);
+  if (repo_it == shard.repositories.end()) {
+    return Estimate{};  // the paper's 0/1 default
+  }
+  const Observed& observed = repo_it->second;
+  auto exact_it = observed.exact.find(key.text);
+  if (exact_it != observed.exact.end()) {
     return Estimate{exact_it->second.time_ewma, exact_it->second.rows_ewma,
                     Basis::Exact, exact_it->second.count};
   }
-  auto close_it =
-      shard.close.find(repository + "|" + algebra::signature(remote));
-  if (close_it != shard.close.end()) {
+  auto close_it = observed.close.find(key.signature);
+  if (close_it != observed.close.end()) {
     return Estimate{close_it->second.time_ewma, close_it->second.rows_ewma,
                     Basis::Close, close_it->second.count};
   }
-  auto repo_it = shard.per_repository.find(repository);
-  if (repo_it != shard.per_repository.end()) {
-    return Estimate{repo_it->second.time_ewma, repo_it->second.rows_ewma,
-                    Basis::Repository, repo_it->second.count};
-  }
-  return Estimate{};  // the paper's 0/1 default
+  return Estimate{observed.average.time_ewma, observed.average.rows_ewma,
+                  Basis::Repository, observed.average.count};
+}
+
+CostHistory::Estimate CostHistory::estimate(
+    const std::string& repository, const algebra::LogicalPtr& remote) const {
+  internal_check(remote != nullptr, "cannot estimate a null expression");
+  return estimate(repository, *algebra::cost_key(remote));
 }
 
 size_t CostHistory::exact_entries() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
-    total += shard.exact.size();
+    for (const auto& [repository, observed] : shard.repositories) {
+      total += observed.exact.size();
+    }
   }
   return total;
 }
@@ -95,7 +102,7 @@ size_t CostHistory::repository_entries() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
-    total += shard.per_repository.size();
+    total += shard.repositories.size();
   }
   return total;
 }
@@ -104,7 +111,9 @@ size_t CostHistory::close_entries() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
-    total += shard.close.size();
+    for (const auto& [repository, observed] : shard.repositories) {
+      total += observed.close.size();
+    }
   }
   return total;
 }
@@ -112,9 +121,7 @@ size_t CostHistory::close_entries() const {
 void CostHistory::clear() {
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mutex);
-    shard.exact.clear();
-    shard.close.clear();
-    shard.per_repository.clear();
+    shard.repositories.clear();
   }
   version_.fetch_add(1, std::memory_order_release);
 }

@@ -9,7 +9,9 @@
 //
 // Exact matches key on the full algebraic text of the shipped expression;
 // close matches key on the constant-masked signature (a selection "whose
-// comparison operators match but whose constants do not match"). Only a
+// comparison operators match but whose constants do not match"). Both are
+// rendered once per plan node (algebra::CostKey) and travel with it, so
+// estimates and recorded calls look them up without rendering. Only a
 // fixed number of observations influence an estimate: an exponentially-
 // weighted moving average with a bounded effective window implements the
 // paper's "fixed number of exactly matching calls are recorded" +
@@ -30,8 +32,8 @@
 //
 // Thread safety: record() runs from executor threads while estimate()
 // runs inside concurrent optimizations. State is sharded by repository
-// (every key is repository-prefixed, so one call touches one shard) under
-// per-shard shared_mutexes. version() is a monotonic counter bumped when
+// (every key lives under its repository, so one call touches one shard)
+// under per-shard shared_mutexes. version() is a monotonic counter bumped when
 // an observation *materially* changes the model — a new exact signature,
 // or an EWMA moving by more than 20% — which the mediator's plan cache
 // watches to re-optimize cached plans after cost observations (§3.3:
@@ -53,8 +55,11 @@ class CostHistory {
   /// `alpha` is the EWMA weight of the newest observation.
   explicit CostHistory(double alpha = 0.5) : alpha_(alpha) {}
 
-  /// Records one finished exec call (§3.3). `remote` is the expression
-  /// that was shipped to the wrapper. Thread-safe.
+  /// Records one finished exec call (§3.3) under the key of the
+  /// expression that was shipped to the wrapper. Thread-safe.
+  void record(const std::string& repository, const algebra::CostKey& key,
+              double time_s, size_t rows);
+  /// Same, rendering `remote`'s key first.
   void record(const std::string& repository,
               const algebra::LogicalPtr& remote, double time_s, size_t rows);
 
@@ -68,6 +73,9 @@ class CostHistory {
   };
 
   /// Thread-safe.
+  Estimate estimate(const std::string& repository,
+                    const algebra::CostKey& key) const;
+  /// Same, rendering `remote`'s key first.
   Estimate estimate(const std::string& repository,
                     const algebra::LogicalPtr& remote) const;
 
@@ -88,11 +96,15 @@ class CostHistory {
     double rows_ewma = 0;
     size_t count = 0;
   };
+  /// Everything recorded for one repository.
+  struct Observed {
+    Entry average;                                 ///< over all its calls
+    std::unordered_map<std::string, Entry> exact;  ///< by CostKey::text
+    std::unordered_map<std::string, Entry> close;  ///< by CostKey::signature
+  };
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<std::string, Entry> exact;
-    std::unordered_map<std::string, Entry> close;
-    std::unordered_map<std::string, Entry> per_repository;
+    std::unordered_map<std::string, Observed> repositories;
   };
   static constexpr size_t kShards = 8;
 
@@ -101,8 +113,7 @@ class CostHistory {
   }
   /// Returns true when the update was material (new key, or an EWMA
   /// moved by more than kMaterialChange relative).
-  bool update(std::unordered_map<std::string, Entry>& map,
-              const std::string& key, double time_s, double rows);
+  bool update(Entry& entry, double time_s, double rows) const;
 
   static constexpr double kMaterialChange = 0.2;
 

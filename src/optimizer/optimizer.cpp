@@ -1,6 +1,7 @@
 #include "optimizer/optimizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <set>
@@ -31,6 +32,14 @@ constexpr double kJoinSelectivity = 0.25;
 // a valid — partial — answer).
 constexpr double kMinAvailability = 0.05;
 
+/// Folds one more union input into `total`: the inputs' exec calls run
+/// in parallel (§4), so network time composes by max; CPU and rows add.
+void add_union_input(Cost& total, const Cost& input) {
+  total.net_s = std::max(total.net_s, input.net_s);
+  total.cpu_s += input.cpu_s;
+  total.rows += input.rows;
+}
+
 class Coster {
  public:
   Coster(const CostHistory* history, const Optimizer::HealthFn* health)
@@ -42,7 +51,7 @@ class Coster {
         CostHistory::Estimate est =
             history_ == nullptr
                 ? CostHistory::Estimate{}
-                : history_->estimate(node->repository, node->remote);
+                : history_->estimate(node->repository, *node->remote_key);
         return Cost{source_time(node->repository, est.time_s), 0,
                     std::max(est.rows, 0.0)};
       }
@@ -80,13 +89,13 @@ class Coster {
         double probe_rows = 0;
         bool observed_probe = false;
         // Prefer a direct observation of the bound probe: the runtime
-        // records probe calls under the plan's canonical probe_shape, so
-        // once a bind join has run the model knows exactly what one
-        // key-bound fetch costs here (near-constant for an indexed
-        // source, a full scan's worth otherwise).
-        if (history_ != nullptr && node->probe_shape != nullptr) {
+        // records probes that shipped keys under the plan's canonical
+        // probe_shape, so once a bind join has run the model knows
+        // exactly what one key-bound fetch costs here (near-constant for
+        // an indexed source, a full scan's worth otherwise).
+        if (history_ != nullptr) {
           CostHistory::Estimate probe_est =
-              history_->estimate(node->repository, node->probe_shape);
+              history_->estimate(node->repository, *node->probe_key);
           if (probe_est.basis == CostHistory::Basis::Exact ||
               probe_est.basis == CostHistory::Basis::Close) {
             probe_time = source_time(node->repository, probe_est.time_s);
@@ -98,7 +107,7 @@ class Coster {
           CostHistory::Estimate est =
               history_ == nullptr
                   ? CostHistory::Estimate{}
-                  : history_->estimate(node->repository, node->remote);
+                  : history_->estimate(node->repository, *node->remote_key);
           // The key disjunction narrows the probe to roughly one row per
           // build key; scale the base estimate accordingly.
           double selectivity =
@@ -113,12 +122,9 @@ class Coster {
                         std::max(probe_rows, 1.0)};
       }
       case physical::POp::Union: {
-        Cost total;
-        for (const PhysicalPtr& child : node->children) {
-          Cost c = cost(child);
-          total.net_s = std::max(total.net_s, c.net_s);
-          total.cpu_s += c.cpu_s;
-          total.rows += c.rows;
+        Cost total = cost(node->children.front());
+        for (size_t i = 1; i < node->children.size(); ++i) {
+          add_union_input(total, cost(node->children[i]));
         }
         return total;
       }
@@ -248,26 +254,27 @@ struct Unit {
   LogicalPtr inner;  ///< expression inside the submit
 };
 
-/// Per-optimize() cache of wrapper grammars and accepts() verdicts.
+/// The wrapper grammars one optimize() call consults, by wrapper name.
 ///
 /// At federation scale one implicit-extent query fans out over thousands
 /// of branches whose submit candidates differ only in extent names — and
 /// grammar::serialize erases extent names (every extent is the SOURCE
-/// terminal), so the verdict of one Earley run answers them all. The
-/// memo is keyed (grammar text, token string) and is therefore *exact*:
-/// it can never change a verdict, only skip recomputing it.
+/// terminal), so one Earley run answers them all. Verdicts come from the
+/// grammar's own table (Grammar::verdict), which the wrapper's run-time
+/// re-check reads too and which outlives this call; it is keyed by token
+/// string and therefore exact: it can never change a verdict, only skip
+/// recomputing it. Without `use_verdicts` every consultation runs Earley.
 class GrammarCache {
  public:
-  GrammarCache(const Optimizer& optimizer, bool memo_enabled,
+  GrammarCache(const Optimizer& optimizer, bool use_verdicts,
                PruneStats* stats)
-      : optimizer_(optimizer), memo_enabled_(memo_enabled), stats_(stats) {}
+      : optimizer_(optimizer), use_verdicts_(use_verdicts), stats_(stats) {}
 
   const grammar::Grammar& grammar_for(const std::string& wrapper) {
     auto it = grammars_.find(wrapper);
     if (it == grammars_.end()) {
       it = grammars_.emplace(wrapper, optimizer_.capability_for(wrapper))
                .first;
-      signatures_.emplace(wrapper, it->second.to_text());
     }
     return it->second;
   }
@@ -275,38 +282,26 @@ class GrammarCache {
   /// The grammar text of a wrapper — the capability signature extents
   /// shard by (fedcat::ExtentIndex uses the same form).
   const std::string& signature_of(const std::string& wrapper) {
-    grammar_for(wrapper);
-    return signatures_.at(wrapper);
+    return grammar_for(wrapper).to_text();
   }
 
   bool accepts(const std::string& wrapper, const LogicalPtr& expr) {
     ++stats_->grammar_consultations;
     const grammar::Grammar& g = grammar_for(wrapper);
-    if (!memo_enabled_) return g.accepts(expr);
     std::vector<grammar::Terminal> tokens;
     if (!grammar::serialize(expr, tokens)) return false;
-    std::string key = signatures_.at(wrapper);
-    key.push_back('\x01');
-    for (grammar::Terminal t : tokens) {
-      key.push_back(static_cast<char>(static_cast<int>(t) + 1));
-    }
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ++stats_->grammar_memo_hits;
-      return it->second;
-    }
-    const bool ok = g.recognizes(tokens);
-    memo_.emplace(std::move(key), ok);
+    if (!use_verdicts_) return g.recognizes(tokens);
+    bool hit = false;
+    const bool ok = g.verdict(tokens, &hit);
+    if (hit) ++stats_->grammar_memo_hits;
     return ok;
   }
 
  private:
   const Optimizer& optimizer_;
-  bool memo_enabled_;
+  bool use_verdicts_;
   PruneStats* stats_;
   std::map<std::string, grammar::Grammar> grammars_;
-  std::map<std::string, std::string> signatures_;
-  std::unordered_map<std::string, bool> memo_;
 };
 
 }  // namespace
@@ -501,8 +496,28 @@ physical::PhysicalPtr Optimizer::implement(const LogicalPtr& node) const {
 
 namespace {
 
-/// Builds one pushdown variant of a branch. Returns the optimized logical
-/// form (physical conversion happens through Optimizer::implement).
+/// The three pushdown rewrites as bits. A branch variant requests a set of
+/// them and BranchPlanner::build reports the set that took effect. R1 is
+/// the high bit so that counting the rewrites a variant leaves *off*
+/// upward from 0 walks the {R1, R2, R3} lattice with R1 varied slowest.
+constexpr unsigned kR1 = 4;  ///< select pushdown
+constexpr unsigned kR2 = 2;  ///< project pushdown
+constexpr unsigned kR3 = 1;  ///< join merge
+
+/// One built pushdown variant of a branch.
+struct Variant {
+  LogicalPtr logical;
+  /// The rewrites that changed the plan: R1 moved some predicate into a
+  /// submit, R3 merged some join, R2 moved the projection. These bits
+  /// determine the variant: R1's verdicts do not depend on the other
+  /// flags, R3's depend only on R1's outcome and R2's on both, and a
+  /// requested rewrite that took no effect leaves the plan exactly as
+  /// not requesting it would.
+  unsigned effects = 0;
+};
+
+/// Builds one pushdown variant of a branch: its optimized logical form
+/// (physical conversion happens through Optimizer::implement).
 class BranchPlanner {
  public:
   /// `decisions` (nullable) receives one PushdownDecision per capability
@@ -517,8 +532,8 @@ class BranchPlanner {
         grammars_(grammars),
         decisions_(decisions) {}
 
-  LogicalPtr build(const BranchParts& parts, bool push_select,
-                   bool push_project, bool merge_joins) const {
+  Variant build(const BranchParts& parts, bool push_select,
+                bool push_project, bool merge_joins) const {
     std::vector<Unit> units;
     for (const Leaf& leaf : parts.leaves) {
       units.push_back(make_unit(leaf, push_select));
@@ -588,10 +603,12 @@ class BranchPlanner {
       record("R2 project-pushdown", units.front().repository,
              units.front().wrapper, pushed, accepted);
       if (accepted) {
-        return algebra::submit(units.front().repository, pushed);
+        return {algebra::submit(units.front().repository, pushed),
+                effects_ | kR2};
       }
     }
-    return algebra::project(tree, parts.projection, parts.distinct);
+    return {algebra::project(tree, parts.projection, parts.distinct),
+            effects_};
   }
 
  private:
@@ -619,6 +636,7 @@ class BranchPlanner {
              accepted);
       if (accepted) {
         inner = candidate;
+        effects_ |= kR1;
       } else {
         unit.mediator_preds.insert(unit.mediator_preds.end(),
                                    leaf.pushable_preds.begin(),
@@ -721,6 +739,7 @@ class BranchPlanner {
                  accepted);
           if (accepted) {
             prev.inner = merged;
+            effects_ |= kR3;
             prev.node = algebra::submit(prev.repository, merged);
             prev.vars = std::move(combined);
             for (const oql::ExprPtr& pred : link) {
@@ -749,6 +768,7 @@ class BranchPlanner {
   GrammarCache* grammars_;
   std::vector<PushdownDecision>* decisions_;
   mutable std::set<std::string> consumed_;
+  mutable unsigned effects_ = 0;
 };
 
 /// Extension: builds a bind-join plan for a two-source equi-join branch,
@@ -888,6 +908,8 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
   physical_branches.reserve(branches.size());
   std::vector<LogicalPtr> chosen_logical;
   chosen_logical.reserve(branches.size());
+  std::vector<Cost> branch_costs;
+  branch_costs.reserve(branches.size());
 
   // Shape sharing: above the threshold, branches with an identical shape
   // key reuse the first such branch's winning pushdown flags instead of
@@ -950,6 +972,7 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
   for (const LogicalPtr& branch : branches) {
     if (branch->op == LOp::Const) {
       physical_branches.push_back(physical::make_const(branch->data, branch));
+      branch_costs.push_back(coster.cost(physical_branches.back()));
       chosen_logical.push_back(branch);
       ++result.plans_considered;
       continue;
@@ -962,8 +985,12 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
     std::vector<PushdownDecision> best_decisions;
     size_t best_candidate = static_cast<size_t>(-1);
     const bool record = options_.record_decisions;
-    auto note_candidate = [&](const std::string& logical_text, Cost c,
-                              bool ps, bool pp, bool mj, bool bj) {
+    // Candidate text is rendered only for a reader: explain's record or a
+    // listening trace.
+    auto note_candidate = [&](const LogicalPtr& logical, Cost c, bool ps,
+                              bool pp, bool mj, bool bj) {
+      if (!record && !obs) return;
+      const std::string logical_text = algebra::to_algebra_string(logical);
       if (record) {
         result.candidates.push_back(
             {logical_text, c, ps, pp, mj, bj, false});
@@ -996,8 +1023,7 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
         Cost c = coster.cost(candidate);
         ++result.plans_considered;
         result.prune.variants_skipped += shared->variants_costed - 1;
-        note_candidate(algebra::to_algebra_string(branch), c, false, false,
-                       false, true);
+        note_candidate(branch, c, false, false, false, true);
         best_cost = c;
         best_plan = candidate;
         best_logical = branch;
@@ -1010,61 +1036,74 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
       std::vector<PushdownDecision> variant_decisions;
       BranchPlanner planner(*this, *catalog_, options_, &grammar_cache,
                             record ? &variant_decisions : nullptr);
-      LogicalPtr variant = planner.build(parts, shared->push_select,
-                                         shared->push_project,
-                                         shared->merge_joins);
-      best_plan = implement(variant);
+      Variant variant = planner.build(parts, shared->push_select,
+                                      shared->push_project,
+                                      shared->merge_joins);
+      best_plan = implement(variant.logical);
       best_cost = coster.cost(best_plan);
-      best_logical = variant;
+      best_logical = variant.logical;
       best_decisions = std::move(variant_decisions);
       ++result.plans_considered;
       result.prune.variants_skipped += shared->variants_costed - 1;
-      note_candidate(algebra::to_algebra_string(variant), *best_cost,
-                     shared->push_select, shared->push_project,
-                     shared->merge_joins, false);
+      note_candidate(variant.logical, *best_cost, shared->push_select,
+                     shared->push_project, shared->merge_joins, false);
       if (record) best_candidate = result.candidates.size() - 1;
     }
 
     if (shared == nullptr) {
       ShapeChoice winner;
       size_t variants_costed = 0;
-      std::set<std::string> seen;
-      for (bool push_select : {true, false}) {
-        if (push_select && !options_.enable_select_pushdown) continue;
-        for (bool push_project : {true, false}) {
-          if (push_project && !options_.enable_project_pushdown) continue;
-          for (bool merge_joins : {true, false}) {
-            if (merge_joins && !options_.enable_join_merge) continue;
-            std::vector<PushdownDecision> variant_decisions;
-            BranchPlanner planner(*this, *catalog_, options_, &grammar_cache,
-                                  record ? &variant_decisions : nullptr);
-            LogicalPtr variant =
-                planner.build(parts, push_select, push_project, merge_joins);
-            if (!seen.insert(algebra::to_algebra_string(variant)).second) {
-              continue;  // the flags made no difference
-            }
-            PhysicalPtr plan = implement(variant);
-            Cost c = coster.cost(plan);
-            ++result.plans_considered;
-            ++variants_costed;
-            note_candidate(algebra::to_algebra_string(variant), c,
-                           push_select, push_project, merge_joins, false);
-            bool better =
-                !best_cost.has_value() || c.total() < best_cost->total() ||
-                (c.total() == best_cost->total() && !options_.cost_based);
-            if (better) {
-              best_cost = c;
-              best_plan = plan;
-              best_logical = variant;
-              best_decisions = std::move(variant_decisions);
-              winner = {push_select, push_project, merge_joins, false, 0};
-              if (record) best_candidate = result.candidates.size() - 1;
-            }
-            if (!options_.cost_based) break;  // maximal pushdown first
-          }
-          if (!options_.cost_based && best_plan != nullptr) break;
+      // The {R1, R2, R3} lattice, each rewrite requested before it is left
+      // off: `off` holds the rewrites a combination leaves off, so 0
+      // requests all three and 7 none. A combination that leaves rewrite
+      // f off repeats its twin that requests f whenever the twin showed
+      // that f took no effect; it is skipped and inherits the twin's
+      // effects. Every combination built is then a new variant, met in
+      // the order a full walk of the lattice would meet it, so candidate
+      // flags and tie-breaks stay those of the full walk.
+      std::array<std::optional<unsigned>, 8> effects_of;
+      for (unsigned off = 0; off < effects_of.size(); ++off) {
+        const bool push_select = (off & kR1) == 0;
+        const bool push_project = (off & kR2) == 0;
+        const bool merge_joins = (off & kR3) == 0;
+        if ((push_select && !options_.enable_select_pushdown) ||
+            (push_project && !options_.enable_project_pushdown) ||
+            (merge_joins && !options_.enable_join_merge)) {
+          continue;
         }
-        if (!options_.cost_based && best_plan != nullptr) break;
+        for (unsigned rewrite : {kR1, kR2, kR3}) {
+          if ((off & rewrite) == 0) continue;
+          const std::optional<unsigned>& twin = effects_of[off & ~rewrite];
+          if (twin.has_value() && (*twin & rewrite) == 0) {
+            effects_of[off] = twin;
+            break;
+          }
+        }
+        if (effects_of[off].has_value()) continue;  // a repeat
+        std::vector<PushdownDecision> variant_decisions;
+        BranchPlanner planner(*this, *catalog_, options_, &grammar_cache,
+                              record ? &variant_decisions : nullptr);
+        Variant variant =
+            planner.build(parts, push_select, push_project, merge_joins);
+        effects_of[off] = variant.effects;
+        PhysicalPtr plan = implement(variant.logical);
+        Cost c = coster.cost(plan);
+        ++result.plans_considered;
+        ++variants_costed;
+        note_candidate(variant.logical, c, push_select, push_project,
+                       merge_joins, false);
+        bool better =
+            !best_cost.has_value() || c.total() < best_cost->total() ||
+            (c.total() == best_cost->total() && !options_.cost_based);
+        if (better) {
+          best_cost = c;
+          best_plan = plan;
+          best_logical = variant.logical;
+          best_decisions = std::move(variant_decisions);
+          winner = {push_select, push_project, merge_joins, false, 0};
+          if (record) best_candidate = result.candidates.size() - 1;
+        }
+        if (!options_.cost_based) break;  // maximal pushdown first
       }
       if (options_.enable_bind_join) {
         std::vector<PushdownDecision> bind_decisions;
@@ -1075,8 +1114,7 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
           Cost c = coster.cost(candidate);
           ++result.plans_considered;
           ++variants_costed;
-          note_candidate(algebra::to_algebra_string(branch), c, false, false,
-                         false, true);
+          note_candidate(branch, c, false, false, false, true);
           if (!best_cost.has_value() || c.total() < best_cost->total()) {
             best_cost = c;
             best_plan = candidate;
@@ -1111,12 +1149,18 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
       result.decisions.push_back(std::move(decision));
     }
     physical_branches.push_back(std::move(best_plan));
+    branch_costs.push_back(*best_cost);
     chosen_logical.push_back(std::move(best_logical));
   }
 
   LogicalPtr overall = algebra::union_of(chosen_logical);
   result.plan = physical::make_union(std::move(physical_branches), overall);
-  result.estimated = coster.cost(result.plan);
+  // The plan is the union of the branches just costed: fold their costs
+  // as the Coster folds a union instead of costing the plan again.
+  result.estimated = branch_costs.front();
+  for (size_t i = 1; i < branch_costs.size(); ++i) {
+    add_union_input(result.estimated, branch_costs[i]);
+  }
   return result;
 }
 

@@ -17,8 +17,9 @@
 //                                                  => submit(r, join(A, B, p))
 //
 // Alternatives are enumerated per branch over the {R1, R2, R3} on/off
-// lattice, costed with the learned cost model (cost.hpp), and the
-// cheapest is kept.
+// lattice, each distinct variant built once (a combination that repeats
+// a twin whose rewrite took no effect is skipped), costed with the
+// learned cost model (cost.hpp), and the cheapest is kept.
 #pragma once
 
 #include <functional>
@@ -51,16 +52,20 @@ struct OptimizerOptions {
   /// (what the 0/1 default cost implies anyway). Used for ablation.
   bool cost_based = true;
   size_t max_branches = 4096;
-  /// Federation-scale pruning (src/fedcat/): memoize capability-grammar
-  /// verdicts by token shape (exact — the terminal alphabet erases
-  /// extent names, so same-shaped candidates share one Earley run), and
-  /// above prune_share_threshold branches let identically-shaped
-  /// branches reuse the first branch's winning pushdown flags instead of
-  /// re-enumerating the whole {R1,R2,R3} lattice. The shape covers the
-  /// per-leaf wrapper grammars and the repository/wrapper co-location
-  /// pattern, so sharing can only diverge from exhaustive search when
-  /// per-repository *cost* differences would flip a winner — the classic
-  /// pruning trade at 1,000+ sources.
+  /// Federation-scale pruning (src/fedcat/): read capability-grammar
+  /// verdicts from each grammar's verdict table (Grammar::verdict), keyed
+  /// by token shape (exact — the terminal alphabet erases extent names,
+  /// so same-shaped candidates share one Earley run, across queries
+  /// too), and above prune_share_threshold branches let
+  /// identically-shaped branches reuse the first branch's winning
+  /// pushdown flags instead of re-enumerating the whole {R1,R2,R3}
+  /// lattice. The shape covers the per-leaf wrapper grammars and the
+  /// repository/wrapper co-location pattern, so sharing can only diverge
+  /// from exhaustive search when per-repository *cost* differences would
+  /// flip a winner — the classic pruning trade at 1,000+ sources. With
+  /// prune off every consultation runs Earley, so pruned-vs-exhaustive
+  /// comparisons (bench_manysources) still set the table against the
+  /// recognizer.
   bool prune = true;
   /// Branch count above which same-shaped branches share pushdown
   /// choices. High enough that every hand-built test world enumerates

@@ -38,9 +38,9 @@ namespace disco::optimizer {
 
 /// Counters for federation-scale extent pruning (src/fedcat/): how much
 /// of the registered world the planner actually touched, and how much
-/// capability-grammar work was saved by memoization and shape sharing.
+/// capability-grammar work was saved by verdict tables and shape sharing.
 /// Filled by translate() (type pruning) and Optimizer::optimize()
-/// (grammar memo / variant sharing); surfaced by explain_report().
+/// (grammar verdicts / variant sharing); surfaced by explain_report().
 struct PruneStats {
   /// Extents registered in the catalog when planning started.
   size_t extents_total = 0;
@@ -51,7 +51,9 @@ struct PruneStats {
   size_t pruned_by_type = 0;
   /// Capability-grammar consultations asked during pushdown rewriting.
   size_t grammar_consultations = 0;
-  /// Consultations answered from the token-shape memo (no Earley run).
+  /// Consultations answered from the grammar's verdict table (no Earley
+  /// run). The table outlives a query, so hits count verdicts derived by
+  /// earlier optimizations and run-time re-checks too.
   size_t grammar_memo_hits = 0;
   /// Branch plan variants never built because an identically-shaped
   /// branch already chose the winning pushdown flags.

@@ -78,6 +78,7 @@ PhysicalPtr make_exec(std::string repository, std::string wrapper,
   node->repository = std::move(repository);
   node->wrapper = std::move(wrapper);
   node->remote = std::move(remote);
+  node->remote_key = algebra::cost_key(node->remote);
   return node;
 }
 
@@ -143,8 +144,10 @@ PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
                            EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
                            algebra::LogicalPtr logical) {
-  internal_check(left != nullptr && remote != nullptr,
-                 "bind join needs a build side and a probe template");
+  internal_check(left != nullptr && remote != nullptr &&
+                     probe_shape != nullptr,
+                 "bind join needs a build side, a probe template and its "
+                 "one-key shape");
   internal_check(left_key.expr != nullptr && right_key.expr != nullptr,
                  "bind join needs key expressions");
   internal_check(logical != nullptr && logical->predicate != nullptr,
@@ -154,7 +157,9 @@ PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
   node->repository = std::move(repository);
   node->wrapper = std::move(wrapper);
   node->remote = std::move(remote);
+  node->remote_key = algebra::cost_key(node->remote);
   node->probe_shape = std::move(probe_shape);
+  node->probe_key = algebra::cost_key(node->probe_shape);
   node->left_key = std::move(left_key);
   node->right_key = std::move(right_key);
   node->predicate = std::move(residual_predicate);
@@ -178,7 +183,7 @@ void render(const PhysicalPtr& plan, std::string& out) {
       // The paper writes exec(field(r0), <expr>): field is the physical
       // algorithm fetching the repository object itself.
       out += "exec(field(" + plan->repository + "), " +
-             algebra::to_algebra_string(plan->remote) + ")";
+             plan->remote_key->text + ")";
       return;
     case POp::Const:
       out += "mkconst(" + plan->data.to_oql() + ")";
@@ -220,7 +225,7 @@ void render(const PhysicalPtr& plan, std::string& out) {
              oql::to_oql(plan->right_key.expr) + ", ";
       render(plan->left, out);
       out += ", exec(field(" + plan->repository + "), " +
-             algebra::to_algebra_string(plan->remote) + " + keys)";
+             plan->remote_key->text + " + keys)";
       if (plan->predicate != nullptr) {
         out += ", " + oql::to_oql(plan->predicate);
       }

@@ -84,6 +84,7 @@ struct Physical {
   std::string repository;
   std::string wrapper;            ///< wrapper object name
   algebra::LogicalPtr remote;     ///< expression shipped to the wrapper
+  algebra::CostKeyPtr remote_key;  ///< `remote` rendered once
 
   // Const
   Value data;
@@ -100,12 +101,13 @@ struct Physical {
   size_t max_bind_keys = 100;
   /// BindJoin: canonical shape of the probe submit — `remote` with a
   /// single placeholder key bound on `right_key`'s path, mirroring how the
-  /// runtime composes the real probe. Cost-history observations of the
-  /// probe are recorded under this shape (not under `remote`), so the
-  /// optimizer can later estimate "what does one bound probe cost at
-  /// this source" — the §3.3 closed loop that notices indexed probes
-  /// returning in near-constant time.
+  /// runtime composes the real probe. Cost-history observations of a
+  /// probe that shipped keys are recorded under this shape (one that
+  /// shipped none, under `remote`), so the optimizer can later estimate
+  /// "what does one bound probe cost at this source" — the §3.3 closed
+  /// loop that notices indexed probes returning in near-constant time.
   algebra::LogicalPtr probe_shape;
+  algebra::CostKeyPtr probe_key;  ///< `probe_shape` rendered once
 
   PhysicalPtr child;
   PhysicalPtr left, right;
@@ -135,9 +137,9 @@ PhysicalPtr make_nl_join(PhysicalPtr left, PhysicalPtr right,
 /// Bind join: `remote` is the probe side's base expression (a get, or a
 /// filter over a get, in mediator name space) executed at
 /// `repository`/`wrapper` with the build side's keys appended as a
-/// disjunctive equality filter on `right_key`'s path. `probe_shape` (may
-/// be null) is the canonical one-key probe expression used as the cost
-/// history record key for probe observations. `logical` is the branch's
+/// disjunctive equality filter on `right_key`'s path. `probe_shape` is the
+/// canonical one-key probe expression used as the cost history record
+/// key for probe observations that shipped keys. `logical` is the branch's
 /// filtered join, whose predicate the nested loop evaluates when a key
 /// read throws.
 PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,

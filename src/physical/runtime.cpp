@@ -13,16 +13,32 @@ namespace disco::physical {
 
 namespace {
 
-/// The record of one call of an exec leaf or bind-join probe `node`.
+/// The record of one call of an exec leaf or bind-join probe `node` that
+/// ships `remote` (rendered as `remote_key`, or null) and is recorded in
+/// the cost history under `cost_key`.
 SourceCall exec_call(const Physical& node, algebra::LogicalPtr remote,
-                     algebra::LogicalPtr shape) {
+                     algebra::CostKeyPtr remote_key,
+                     algebra::CostKeyPtr cost_key) {
   SourceCall call;
   call.repository = node.repository;
   call.wrapper = node.wrapper;
   call.remote = std::move(remote);
+  call.remote_key = std::move(remote_key);
   call.residual = node.logical;
-  call.shape = std::move(shape);
+  call.cost_key = std::move(cost_key);
   return call;
+}
+
+/// A call that ships the node's own remote: an exec leaf, or a bind-join
+/// probe that shipped no keys.
+SourceCall exec_call(const Physical& node) {
+  return exec_call(node, node.remote, node.remote_key, node.remote_key);
+}
+
+/// The shipped expression's text, for trace tags.
+std::string remote_text(const SourceCall& call) {
+  return call.remote_key != nullptr ? call.remote_key->text
+                                    : algebra::to_algebra_string(call.remote);
 }
 
 const char* shed_reason_name(sched::QueryScheduler::ShedReason reason) {
@@ -166,8 +182,7 @@ void Runtime::prefetch_execs(const PhysicalPtr& plan) {
       if (prefetched_.contains(plan.get())) return;  // shared subplan
       prefetched_.emplace(
           plan.get(),
-          launch(exec_call(*plan, plan->remote, plan->remote),
-                 /*on_pool=*/true));
+          launch(exec_call(*plan), /*on_pool=*/true));
       return;
     case POp::Filter:
     case POp::Project:
@@ -318,7 +333,7 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
 Runtime::Outcome Runtime::eval_exec(const Physical& node) {
   auto it = prefetched_.find(&node);
   if (it == prefetched_.end()) {
-    return settle(run_call(exec_call(node, node.remote, node.remote)));
+    return settle(run_call(exec_call(node)));
   }
   std::future<SourceCall> future = std::move(it->second);
   prefetched_.erase(it);
@@ -453,7 +468,10 @@ bool Runtime::perform(Flight& flight) const {
   // never cached.
   if (context_.cache != nullptr) {
     cache::ResultCache::Lookup lookup =
-        context_.cache->get_or_begin(call.repository, call.remote);
+        call.remote_key != nullptr
+            ? context_.cache->get_or_begin(call.repository,
+                                           call.remote_key->text)
+            : context_.cache->get_or_begin(call.repository, call.remote);
     if (lookup.kind != cache::ResultCache::LookupKind::Lead) {
       // The reply is shared-immutable, so handing the same Value to many
       // query threads is safe. Zero latency: a cached answer is faster
@@ -480,7 +498,7 @@ bool Runtime::perform(Flight& flight) const {
   if (span) {
     span.tag("repository", call.repository);
     span.tag("wrapper", call.wrapper);
-    span.tag("remote", algebra::to_algebra_string(call.remote));
+    span.tag("remote", remote_text(call));
     if (std::isfinite(context_.deadline_s)) {
       span.tag("deadline_s", context_.deadline_s);
     }
@@ -571,7 +589,7 @@ Runtime::Outcome Runtime::settle(const SourceCall& call) {
           cached ? trace->instant(context_.obs.span, "cache_hit", "cache")
                  : trace->instant(context_.obs.span, "short_circuit", "exec");
       trace->tag(event, "repository", call.repository);
-      trace->tag(event, "remote", algebra::to_algebra_string(call.remote));
+      trace->tag(event, "remote", remote_text(call));
       if (call.served == SourceCall::Served::Coalesced) {
         trace->tag(event, "coalesced", "true");
       }
@@ -769,8 +787,15 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
 
   // Probe expression: base remote plus the key disjunction over the
   // probe key's path (a nested key ships as a path predicate) — unless
-  // the key set is too large to be worth shipping.
-  algebra::LogicalPtr remote = node.remote;
+  // the key set is too large to be worth shipping. A probe that ships
+  // keys is recorded in the cost history under the plan's canonical
+  // probe_shape (one placeholder key), not under the literal-laden
+  // disjunction — so future optimizations can ask "what does a bound
+  // probe cost here" and observe indexed probes coming back fast. One
+  // that ships none is the base remote and is recorded as that: under
+  // the probe shape it would price every later bind join here as a
+  // whole-extent fetch.
+  SourceCall probe = exec_call(node);
   if (keys_read && keys.size() <= node.max_bind_keys) {
     // Ship the keys in key order: a sorted disjunction gives the source's
     // ordered index a monotone probe sequence (and makes the shipped SQL
@@ -790,6 +815,7 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
       bind_pred = oql::binary(oql::BinaryOp::Or, std::move(bind_pred),
                               std::move(terms[k]));
     }
+    algebra::LogicalPtr remote = node.remote;
     if (remote->op == algebra::LOp::Filter) {
       remote = algebra::filter(
           remote->child,
@@ -797,14 +823,9 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
     } else {
       remote = algebra::filter(remote, bind_pred);
     }
+    probe = exec_call(node, std::move(remote), nullptr, node.probe_key);
   }
-
-  // The probe is recorded in the cost history under the plan's canonical
-  // probe_shape (one placeholder key), not under the literal-laden
-  // disjunction — so future optimizations can ask "what does a bound
-  // probe cost here" and observe indexed probes coming back fast.
-  Outcome right =
-      settle(run_call(exec_call(node, remote, node.probe_shape)));
+  Outcome right = settle(run_call(std::move(probe)));
   if (!right.residuals.empty()) {
     out.residuals.push_back(node.logical);
     return out;

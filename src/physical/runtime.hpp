@@ -95,10 +95,14 @@ struct SourceCall {
   std::string repository;
   std::string wrapper;
   algebra::LogicalPtr remote;    ///< the expression shipped to the wrapper
+  /// `remote` rendered (its text is the result-cache key); null for a
+  /// bind-join probe that shipped keys, rendered only when read.
+  algebra::CostKeyPtr remote_key;
   algebra::LogicalPtr residual;  ///< the §4 residual when the call fails
-  /// The expression the cost history records the call under: `remote`
-  /// for exec leaves, the plan's one-key probe_shape for bind-join probes.
-  algebra::LogicalPtr shape;
+  /// The key the cost history records the call under: the remote's, or
+  /// for a bind-join probe that shipped keys the plan's one-key
+  /// probe_shape.
+  algebra::CostKeyPtr cost_key;
   Served served = Served::Source;
   Outcome outcome = Outcome::Ok;
   uint32_t attempts = 0;  ///< network rounds; 0 if the network was not reached

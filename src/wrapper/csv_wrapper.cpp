@@ -10,7 +10,9 @@ void CsvWrapper::attach_table(const std::string& repository_name,
 }
 
 grammar::Grammar CsvWrapper::capabilities() const {
-  return grammar::CapabilitySet{.get = true}.to_grammar();
+  static const grammar::Grammar grammar =
+      grammar::CapabilitySet{.get = true}.to_grammar();
+  return grammar;
 }
 
 SubmitResult CsvWrapper::submit(const catalog::Repository& repository,

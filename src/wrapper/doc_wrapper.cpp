@@ -1,5 +1,6 @@
 #include "wrapper/doc_wrapper.hpp"
 
+#include <optional>
 #include <set>
 
 #include "common/error.hpp"
@@ -108,6 +109,23 @@ Value row_for(const Value& doc,
 
 }  // namespace
 
+DocWrapper::DocWrapper()
+    // Path projection and path-equality selection, composable: PATH
+    // subsumes flat ATTRIBUTE tokens and PATHEQPREDICATE subsumes flat
+    // EQPREDICATE tokens, so the same grammar serves mapped (flat) and
+    // identity (nested) extents. Range predicates (PATHPREDICATE /
+    // PREDICATE tokens) and joins are not advertised: they stay
+    // mediator-side.
+    : grammar_(grammar::Grammar::parse(
+          "a :- b\n"
+          "a :- c\n"
+          "a :- d\n"
+          "b :- get OPEN SOURCE CLOSE\n"
+          "c :- select OPEN PATHEQPREDICATE COMMA s CLOSE\n"
+          "d :- project OPEN PATH COMMA s CLOSE\n"
+          "s :- SOURCE\n"
+          "s :- c\n")) {}
+
 void DocWrapper::attach_store(const std::string& repository_name,
                               docstore::DocStore* store) {
   internal_check(store != nullptr, "null doc store");
@@ -115,27 +133,10 @@ void DocWrapper::attach_store(const std::string& repository_name,
 }
 
 void DocWrapper::set_grammar(grammar::Grammar grammar) {
-  grammar_override_ = std::move(grammar);
+  grammar_ = std::move(grammar);
 }
 
-grammar::Grammar DocWrapper::capabilities() const {
-  if (grammar_override_.has_value()) return *grammar_override_;
-  // Path projection and path-equality selection, composable: PATH
-  // subsumes flat ATTRIBUTE tokens and PATHEQPREDICATE subsumes flat
-  // EQPREDICATE tokens, so the same grammar serves mapped (flat) and
-  // identity (nested) extents. Range predicates (PATHPREDICATE /
-  // PREDICATE tokens) and joins are not advertised: they stay
-  // mediator-side.
-  return grammar::Grammar::parse(
-      "a :- b\n"
-      "a :- c\n"
-      "a :- d\n"
-      "b :- get OPEN SOURCE CLOSE\n"
-      "c :- select OPEN PATHEQPREDICATE COMMA s CLOSE\n"
-      "d :- project OPEN PATH COMMA s CLOSE\n"
-      "s :- SOURCE\n"
-      "s :- c\n");
-}
+grammar::Grammar DocWrapper::capabilities() const { return grammar_; }
 
 SubmitResult DocWrapper::submit(const catalog::Repository& repository,
                                 const algebra::LogicalPtr& expr,
@@ -147,7 +148,7 @@ SubmitResult DocWrapper::submit(const catalog::Repository& repository,
   }
   docstore::DocStore& store = *store_it->second;
   // Run-time capability check (§2.1: "At run-time, the wrapper checks").
-  if (!capabilities().accepts(expr)) {
+  if (!grammar_.accepts(expr)) {
     return SubmitResult::refused(
         "expression rejected by the docstore capability grammar: " +
         algebra::to_algebra_string(expr));

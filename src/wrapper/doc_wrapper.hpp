@@ -18,7 +18,6 @@
 #pragma once
 
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "sources/docstore/doc_store.hpp"
@@ -28,7 +27,7 @@ namespace disco::wrapper {
 
 class DocWrapper : public Wrapper {
  public:
-  DocWrapper() = default;
+  DocWrapper();
 
   /// Binds the store reachable as `repository_name`; one wrapper can
   /// serve many document repositories.
@@ -59,7 +58,7 @@ class DocWrapper : public Wrapper {
   std::vector<std::pair<std::string, uint64_t>> stat_gauges() const override;
 
  private:
-  std::optional<grammar::Grammar> grammar_override_;
+  grammar::Grammar grammar_;
   std::unordered_map<std::string, docstore::DocStore*> stores_;
   CostModel cost_model_;
 };

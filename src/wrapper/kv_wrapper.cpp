@@ -49,6 +49,16 @@ bool collect_equalities(const oql::ExprPtr& pred, const std::string& var,
   return true;
 }
 
+/// Get, and select with an equality-only predicate over a bare source.
+const grammar::Grammar& kv_grammar() {
+  static const grammar::Grammar grammar = grammar::Grammar::parse(
+      "a :- b\n"
+      "a :- c\n"
+      "b :- get OPEN SOURCE CLOSE\n"
+      "c :- select OPEN EQPREDICATE COMMA SOURCE CLOSE\n");
+  return grammar;
+}
+
 }  // namespace
 
 void KvWrapper::attach_store(const std::string& repository_name,
@@ -57,13 +67,7 @@ void KvWrapper::attach_store(const std::string& repository_name,
   stores_[repository_name] = store;
 }
 
-grammar::Grammar KvWrapper::capabilities() const {
-  return grammar::Grammar::parse(
-      "a :- b\n"
-      "a :- c\n"
-      "b :- get OPEN SOURCE CLOSE\n"
-      "c :- select OPEN EQPREDICATE COMMA SOURCE CLOSE\n");
-}
+grammar::Grammar KvWrapper::capabilities() const { return kv_grammar(); }
 
 SubmitResult KvWrapper::submit(const catalog::Repository& repository,
                                const algebra::LogicalPtr& expr,
@@ -74,7 +78,7 @@ SubmitResult KvWrapper::submit(const catalog::Repository& repository,
                        repository.name + "'");
   }
   kvstore::KvStore& store = *store_it->second;
-  if (!capabilities().accepts(expr)) {
+  if (!kv_grammar().accepts(expr)) {
     return SubmitResult::refused(
         "expression rejected by the kv capability grammar: " +
         algebra::to_algebra_string(expr));

@@ -262,7 +262,7 @@ class Translator {
 }  // namespace
 
 MemDbWrapper::MemDbWrapper(grammar::CapabilitySet capabilities)
-    : capability_set_(capabilities) {}
+    : grammar_(capabilities.to_grammar()) {}
 
 void MemDbWrapper::attach_database(const std::string& repository_name,
                                    memdb::Database* database) {
@@ -271,13 +271,10 @@ void MemDbWrapper::attach_database(const std::string& repository_name,
 }
 
 void MemDbWrapper::set_grammar(grammar::Grammar grammar) {
-  grammar_override_ = std::move(grammar);
+  grammar_ = std::move(grammar);
 }
 
-grammar::Grammar MemDbWrapper::capabilities() const {
-  return grammar_override_.has_value() ? *grammar_override_
-                                       : capability_set_.to_grammar();
-}
+grammar::Grammar MemDbWrapper::capabilities() const { return grammar_; }
 
 SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
                                   const algebra::LogicalPtr& expr,
@@ -288,7 +285,7 @@ SubmitResult MemDbWrapper::submit(const catalog::Repository& repository,
                        repository.name + "'");
   }
   // Run-time capability check (§2.1: "At run-time, the wrapper checks").
-  if (!capabilities().accepts(expr)) {
+  if (!grammar_.accepts(expr)) {
     return SubmitResult::refused("expression rejected by the capability "
                                  "grammar: " +
                                  algebra::to_algebra_string(expr));

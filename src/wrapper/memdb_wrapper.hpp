@@ -77,8 +77,7 @@ class MemDbWrapper : public Wrapper {
   }
 
  private:
-  grammar::CapabilitySet capability_set_;
-  std::optional<grammar::Grammar> grammar_override_;
+  grammar::Grammar grammar_;
   std::unordered_map<std::string, memdb::Database*> databases_;
   CostModel cost_model_;
   mutable std::mutex last_sql_mutex_;

@@ -359,10 +359,25 @@ TEST_F(BindJoinTest, LargeKeySetFallsBackToFullFetch) {
   for (int i = 0; i < 3000; ++i) {
     orders.insert({Value::integer(i), Value::string("bulk")});
   }
+  ASSERT_NE(mediator_->explain(join_query_).find("bindjoin"),
+            std::string::npos);
   Answer a = mediator_->query(join_query_);
   ASSERT_TRUE(a.complete());
   // 3003 orders, each cid matching exactly one of the 5000 customers.
   EXPECT_EQ(a.data().size(), 3003u);
+  // The probe shipped no keys, so §3.3 learns what the base remote it
+  // did ship costs, not what one key-bound probe costs: otherwise every
+  // later bind join here is priced as a whole-extent fetch.
+  const optimizer::CostHistory& history = mediator_->cost_history();
+  const optimizer::CostHistory::Basis probe_basis =
+      history
+          .estimate("r1", algebra::filter(algebra::get("customers", "c"),
+                                          oql::parse("c.id = c.id")))
+          .basis;
+  EXPECT_NE(probe_basis, optimizer::CostHistory::Basis::Exact);
+  EXPECT_NE(probe_basis, optimizer::CostHistory::Basis::Close);
+  EXPECT_EQ(history.estimate("r1", algebra::get("customers", "c")).basis,
+            optimizer::CostHistory::Basis::Exact);
 }
 
 }  // namespace

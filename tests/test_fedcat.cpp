@@ -1,13 +1,15 @@
 // Federation-scale catalog (src/fedcat/): epoch snapshots (registration
 // concurrent with queries, epoch retirement), the sharded extent index,
-// optimizer pruning (type pruning, grammar memo, shape sharing), and
-// hierarchical federations via MediatorSource — in-process and over the
-// wire. The binary carries the `concurrency` ctest label: the
-// registration-vs-query storm interleaves admin and query threads.
+// optimizer pruning (type pruning, grammar verdict tables, shape
+// sharing), and hierarchical federations via MediatorSource — in-process
+// and over the wire. The binary carries the `concurrency` ctest label:
+// the registration-vs-query storm interleaves admin and query threads,
+// and the verdict storm shares grammar verdict tables across threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -160,6 +162,57 @@ TEST(FedcatStormTest, SixteenThreadRegistrationVsQueryStorm) {
   EXPECT_EQ(settled.data().size(), 2u + kAdmins);
   EXPECT_EQ(world.mediator.live_epochs(), 1u);
   EXPECT_EQ(world.mediator.retired_epochs(), world.mediator.catalog_epoch());
+}
+
+// ------------------------------------------------- shared verdict tables ---
+
+TEST(FedcatVerdictStormTest, EightThreadsShareEachGrammarsVerdicts) {
+  // Each wrapper keeps one grammar, and its verdict table serves both the
+  // optimizer's pushdown checks on the query threads and the wrapper's
+  // §2.1 run-time re-checks on the pool workers (wall-clock mode).
+  const char* const queries[] = {
+      "select x.name from x in emp where x.salary > 300",
+      "select a.owner from a in acct where a.id = 7",
+      "select s.city from s in sites where s.id = 2",
+      "select struct(n: e.name, d: d.dname) from e in emp, d in dept "
+      "where e.dept = d.id and e.salary > 100",
+      "select distinct x.dept from x in emp where x.salary > 50",
+      "select x.name from x in staff where x.salary > 100",
+      "select x.name from x in emps where x.salary < 100",
+  };
+  constexpr size_t kQueries = std::size(queries);
+  disco::testing::MixedWorld reference;  // one thread, virtual time
+  std::vector<Value> expected;
+  for (const char* query : queries) {
+    Answer answer = reference.mediator.query(query);
+    ASSERT_TRUE(answer.complete()) << query;
+    expected.push_back(answer.data());
+  }
+
+  Mediator::Options options;
+  options.exec.workers = 2;
+  options.exec.latency_scale = 0.001;
+  disco::testing::MixedWorld world(options);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 14;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const size_t i = static_cast<size_t>(t + r) % kQueries;
+        Answer answer = world.mediator.query(queries[i]);
+        if (!answer.complete() || answer.data() != expected[i]) ++wrong;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(world.mediator.wrapper_by_name("wm")
+                ->capabilities()
+                .cached_verdicts(),
+            0u);
 }
 
 // ------------------------------------------------------- optimizer pruning ---

@@ -285,6 +285,78 @@ TEST_P(CapabilityLattice, FlatOperatorsFollowTheSet) {
   }
 }
 
+// --------------------------------------------------------- verdict table ---
+
+/// k extents of one repository merged by R3: a left-deep join k levels
+/// deep over a selection.
+algebra::LogicalPtr merged_join(int k) {
+  algebra::LogicalPtr tree = filter(get("e0", "x0"), parse("x0.a > 1"));
+  for (int i = 1; i < k; ++i) {
+    const std::string var = "x" + std::to_string(i);
+    tree = join(tree, get("e" + std::to_string(i), var),
+                parse("x0.a = " + var + ".a"));
+  }
+  return tree;
+}
+
+TEST(GrammarVerdicts, BoundedTableAgreesWithTheRecognizer) {
+  // A client controls how many token shapes the mediator sees, so the
+  // table is bounded. Feed it more distinct token strings than it holds,
+  // twice over, and check every verdict against Earley.
+  const Grammar grammar = CapabilitySet{.get = true,
+                                        .project = true,
+                                        .select = true,
+                                        .join = true,
+                                        .compose = true}
+                              .to_grammar();
+  constexpr int kTerminals = static_cast<int>(Terminal::PathPredicate) + 1;
+  auto t = [](int i) { return static_cast<Terminal>(i); };
+  std::vector<std::vector<Terminal>> sentences;
+  for (int a = 0; a < kTerminals; ++a) {
+    sentences.push_back({t(a)});
+    for (int b = 0; b < kTerminals; ++b) {
+      sentences.push_back({t(a), t(b)});
+      for (int c = 0; c < kTerminals; ++c) {
+        sentences.push_back({t(a), t(b), t(c)});
+      }
+    }
+  }
+  for (int k = 1; k <= 32; ++k) {
+    std::vector<Terminal> tokens;
+    ASSERT_TRUE(serialize(merged_join(k), tokens));
+    sentences.push_back(std::move(tokens));
+  }
+  ASSERT_GT(sentences.size(), Grammar::kVerdictCapacity);
+
+  size_t accepted = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::vector<Terminal>& tokens : sentences) {
+      const bool expected = grammar.recognizes(tokens);
+      EXPECT_EQ(grammar.verdict(tokens), expected);
+      EXPECT_LE(grammar.cached_verdicts(), Grammar::kVerdictCapacity);
+      if (expected) ++accepted;
+    }
+  }
+  // Both verdicts occur: the merged joins are in the language.
+  EXPECT_GE(accepted, 2u * 32u);
+  EXPECT_TRUE(grammar.accepts(merged_join(32)));
+}
+
+TEST(GrammarVerdicts, CopiesShareOneTable) {
+  const Grammar grammar = Grammar::parse(kComposing);
+  const Grammar copy = grammar;
+  std::vector<Terminal> tokens;
+  ASSERT_TRUE(serialize(project(get("e", "x"), parse("x.a"), false), tokens));
+  bool hit = true;
+  EXPECT_TRUE(grammar.verdict(tokens, &hit));
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(copy.verdict(tokens, &hit));
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(copy.cached_verdicts(), 1u);
+  // The same text parsed again is another grammar with its own table.
+  EXPECT_EQ(Grammar::parse(kComposing).cached_verdicts(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Combos, CapabilityLattice,
     ::testing::Values(

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "fixtures.hpp"
 #include "optimizer/optimizer.hpp"
 #include "oql/parser.hpp"
@@ -373,6 +374,288 @@ TEST_F(OptimizerTest, MetaextentQueriesPlan) {
   // metaextent is mediator meta-data: a const leaf, no exec at all.
   std::string text = physical::to_physical_string(result.plan);
   EXPECT_EQ(text.find("exec("), std::string::npos) << text;
+}
+
+// ------------------------------------------------- candidate enumeration ---
+
+// One query of each pushdown shape over the mixed world (fixtures.hpp),
+// whose cost history holds a fixed sequence of observations, so every
+// variant's cost is known. Pins how many distinct {R1, R2, R3} variants
+// each branch yields, their order, flags and costs, which one wins (a tie
+// keeps the earlier variant) and the plan's estimate.
+class EnumerationTest : public ::testing::Test {
+ protected:
+  EnumerationTest() {
+    // The fixed observations, in order.
+    using algebra::filter;
+    using algebra::get;
+    using algebra::join;
+    using algebra::project;
+    CostHistory& h = world_.mediator.cost_history();
+    h.record("rm", get("emp", "x"), 0.050, 400);
+    h.record("rm", filter(get("emp", "x"), parse("x.salary > 100")), 0.030,
+             40);
+    // The pushed projection is slower than shipping the selection.
+    h.record("rm",
+             project(filter(get("emp", "x"), parse("x.salary > 100")),
+                     parse("x.name"), false),
+             0.035, 40);
+    // A join that matches nothing: merged with or without the projection
+    // costs the same, a tie.
+    auto merged = join(filter(get("emp", "e"), parse("e.salary > 50")),
+                       get("dept", "d"), parse("e.dept = d.id"));
+    h.record("rm", merged, 0.020, 0);
+    h.record("rm",
+             project(merged, parse("struct(n: e.name, d: d.dname)"), false),
+             0.020, 0);
+    h.record("rk", get("acct", "a"), 0.010, 1000);
+    h.record("rk", filter(get("acct", "a"), parse("a.id = 3")), 0.002, 1);
+    h.record("rc", get("sites", "s"), 0.008, 200);
+    h.record("rg", get("staff", "x"), 0.006, 50);
+  }
+
+  disco::testing::MixedWorld world_;
+};
+
+// Rewrite flags of a pinned candidate.
+constexpr unsigned kR1 = 1, kR2 = 2, kR3 = 4;
+
+struct PinnedCandidate {
+  const char* logical;
+  unsigned flags;
+  double total;
+  bool chosen;
+};
+
+struct PinnedQuery {
+  const char* query;
+  size_t plans_considered;
+  const char* plan;
+  Cost estimated;
+  std::vector<PinnedCandidate> candidates;
+  /// explain() without its pruning line, whose grammar counters count
+  /// consultations rather than decide anything.
+  const char* explain;
+};
+
+// Queries: a memdb leaf with a pushable predicate and projection (a later
+// variant wins), a KV equality, the get-only CSV, two joinable extents in
+// one repository (R3; two variants tie and the earlier wins), a
+// distinct, a grammar that refuses R1, and a two-branch union.
+const PinnedQuery kPinned[] = {
+    {"select x.name from x in emp where x.salary > 100",
+     3,
+     "mkproj(x.name, exec(field(rm), select(x.salary > 100, "
+     "get(emp, x))))",
+     {0.029999999999999999, 7.9999999999999993e-05, 40},
+     {
+         {"submit(rm, project(x.name, select(x.salary > 100, "
+          "get(emp, x))))",
+          kR1 | kR2 | kR3, 0.035000000000000003, false},
+         {"project(x.name, submit(rm, select(x.salary > 100, "
+          "get(emp, x))))",
+          kR1 | kR3, 0.030079999999999999, true},
+         {"project(x.name, select(x.salary > 100, submit(rm, "
+          "get(emp, x))))",
+          kR2 | kR3, 0.051200000000000002, false},
+     },
+     R"(expanded: select x.name from x in emp where x.salary > 100
+plan: mkproj(x.name, exec(field(rm), select(x.salary > 100, get(emp, x))))
+plans considered: 3
+estimated: net 0.030000s, cpu 0.000080s, rows 40.000000
+submit rm [wm]: select(x.salary > 100, get(emp, x)) -- learned: time 0.030000s, rows 40.000000 (exact, 1 obs)
+decision R1 select-pushdown @ rm/wm: accept select(x.salary > 100, get(emp, x))
+candidate: R1 R2 R3, net 0.035000s, rows 40.000000, submit(rm, project(x.name, select(x.salary > 100, get(emp, x))))
+candidate (chosen): R1 R3, net 0.030000s, rows 40.000000, project(x.name, submit(rm, select(x.salary > 100, get(emp, x))))
+candidate: R2 R3, net 0.050000s, rows 200.000000, project(x.name, select(x.salary > 100, submit(rm, get(emp, x))))
+)"},
+    {"select a.owner from a in acct where a.id = 7",
+     2,
+     "mkproj(a.owner, exec(field(rk), select(a.id = 7, "
+     "get(acct, a))))",
+     {0.002, 1.9999999999999999e-06, 1},
+     {
+         {"project(a.owner, submit(rk, select(a.id = 7, get(acct, "
+          "a))))",
+          kR1 | kR2 | kR3, 0.0020019999999999999, true},
+         {"project(a.owner, select(a.id = 7, submit(rk, get(acct, "
+          "a))))",
+          kR2 | kR3, 0.013000000000000001, false},
+     },
+     R"(expanded: select a.owner from a in acct where a.id = 7
+plan: mkproj(a.owner, exec(field(rk), select(a.id = 7, get(acct, a))))
+plans considered: 2
+estimated: net 0.002000s, cpu 0.000002s, rows 1.000000
+submit rk [wk]: select(a.id = 7, get(acct, a)) -- learned: time 0.002000s, rows 1.000000 (close, 1 obs)
+decision R1 select-pushdown @ rk/wk: accept select(a.id = 7, get(acct, a))
+decision R2 project-pushdown @ rk/wk: reject project(a.owner, select(a.id = 7, get(acct, a)))
+candidate (chosen): R1 R2 R3, net 0.002000s, rows 1.000000, project(a.owner, submit(rk, select(a.id = 7, get(acct, a))))
+candidate: R2 R3, net 0.010000s, rows 500.000000, project(a.owner, select(a.id = 7, submit(rk, get(acct, a))))
+)"},
+    {"select s.city from s in sites where s.id = 2",
+     1,
+     "mkproj(s.city, mkfilter(s.id = 2, exec(field(rc), "
+     "get(sites, s))))",
+     {0.0080000000000000002, 0.00059999999999999995, 100},
+     {
+         {"project(s.city, select(s.id = 2, submit(rc, get(sites, "
+          "s))))",
+          kR1 | kR2 | kR3, 0.0086, true},
+     },
+     R"(expanded: select s.city from s in sites where s.id = 2
+plan: mkproj(s.city, mkfilter(s.id = 2, exec(field(rc), get(sites, s))))
+plans considered: 1
+estimated: net 0.008000s, cpu 0.000600s, rows 100.000000
+submit rc [wc]: get(sites, s) -- learned: time 0.008000s, rows 200.000000 (exact, 1 obs)
+decision R1 select-pushdown @ rc/wc: reject select(s.id = 2, get(sites, s))
+candidate (chosen): R1 R2 R3, net 0.008000s, rows 100.000000, project(s.city, select(s.id = 2, submit(rc, get(sites, s))))
+)"},
+    {"select struct(n: e.name, d: d.dname) from e in emp, d in "
+      "dept where e.dept = d.id and e.salary > 50",
+     4,
+     "exec(field(rm), project(struct(n: e.name, d: d.dname), "
+     "join(select(e.salary > 50, get(emp, e)), get(dept, d), "
+     "e.dept = d.id)))",
+     {0.02, 0, 0},
+     {
+         {"submit(rm, project(struct(n: e.name, d: d.dname), "
+          "join(select(e.salary > 50, get(emp, e)), get(dept, d), "
+          "e.dept = d.id)))",
+          kR1 | kR2 | kR3, 0.02, true},
+         {"project(struct(n: e.name, d: d.dname), join(submit(rm, "
+          "select(e.salary > 50, get(emp, e))), submit(rm, get(dept, "
+          "d)), e.dept = d.id))",
+          kR1 | kR2, 0.025033125, false},
+         {"project(struct(n: e.name, d: d.dname), submit(rm, "
+          "join(select(e.salary > 50, get(emp, e)), get(dept, d), "
+          "e.dept = d.id)))",
+          kR1 | kR3, 0.02, false},
+         {"project(struct(n: e.name, d: d.dname), "
+          "join(select(e.salary > 50, submit(rm, get(emp, e))), "
+          "submit(rm, get(dept, d)), e.dept = d.id))",
+          kR2 | kR3, 0.024801562500000002, false},
+     },
+     R"(expanded: select struct(n: e.name, d: d.dname) from e in emp, d in dept where e.dept = d.id and e.salary > 50
+plan: exec(field(rm), project(struct(n: e.name, d: d.dname), join(select(e.salary > 50, get(emp, e)), get(dept, d), e.dept = d.id)))
+plans considered: 4
+estimated: net 0.020000s, cpu 0.000000s, rows 0.000000
+submit rm [wm]: project(struct(n: e.name, d: d.dname), join(select(e.salary > 50, get(emp, e)), get(dept, d), e.dept = d.id)) -- learned: time 0.020000s, rows 0.000000 (exact, 1 obs)
+decision R1 select-pushdown @ rm/wm: accept select(e.salary > 50, get(emp, e))
+decision R3 join-merge @ rm/wm: accept join(select(e.salary > 50, get(emp, e)), get(dept, d), e.dept = d.id)
+decision R2 project-pushdown @ rm/wm: accept project(struct(n: e.name, d: d.dname), join(select(e.salary > 50, get(emp, e)), get(dept, d), e.dept = d.id))
+candidate (chosen): R1 R2 R3, net 0.020000s, rows 0.000000, submit(rm, project(struct(n: e.name, d: d.dname), join(select(e.salary > 50, get(emp, e)), get(dept, d), e.dept = d.id)))
+candidate: R1 R2, net 0.024375s, rows 264.062500, project(struct(n: e.name, d: d.dname), join(submit(rm, select(e.salary > 50, get(emp, e))), submit(rm, get(dept, d)), e.dept = d.id))
+candidate: R1 R3, net 0.020000s, rows 0.000000, project(struct(n: e.name, d: d.dname), submit(rm, join(select(e.salary > 50, get(emp, e)), get(dept, d), e.dept = d.id)))
+candidate: R2 R3, net 0.024375s, rows 132.031250, project(struct(n: e.name, d: d.dname), join(select(e.salary > 50, submit(rm, get(emp, e))), submit(rm, get(dept, d)), e.dept = d.id))
+)"},
+    {"select distinct x.dept from x in emp where x.salary > 10",
+     2,
+     "mkproj(distinct x.dept, exec(field(rm), select(x.salary > "
+     "10, get(emp, x))))",
+     {0.029999999999999999, 7.9999999999999993e-05, 40},
+     {
+         {"project(distinct x.dept, submit(rm, select(x.salary > 10, "
+          "get(emp, x))))",
+          kR1 | kR2 | kR3, 0.030079999999999999, true},
+         {"project(distinct x.dept, select(x.salary > 10, submit(rm, "
+          "get(emp, x))))",
+          kR2 | kR3, 0.051200000000000002, false},
+     },
+     R"(expanded: select distinct x.dept from x in emp where x.salary > 10
+plan: mkproj(distinct x.dept, exec(field(rm), select(x.salary > 10, get(emp, x))))
+plans considered: 2
+estimated: net 0.030000s, cpu 0.000080s, rows 40.000000
+submit rm [wm]: select(x.salary > 10, get(emp, x)) -- learned: time 0.030000s, rows 40.000000 (close, 1 obs)
+decision R1 select-pushdown @ rm/wm: accept select(x.salary > 10, get(emp, x))
+candidate (chosen): R1 R2 R3, net 0.030000s, rows 40.000000, project(distinct x.dept, submit(rm, select(x.salary > 10, get(emp, x))))
+candidate: R2 R3, net 0.050000s, rows 200.000000, project(distinct x.dept, select(x.salary > 10, submit(rm, get(emp, x))))
+)"},
+    {"select x.name from x in staff where x.salary > 100",
+     1,
+     "mkproj(x.name, mkfilter(x.salary > 100, exec(field(rg), "
+     "get(staff, x))))",
+     {0.0060000000000000001, 0.00014999999999999999, 25},
+     {
+         {"project(x.name, select(x.salary > 100, submit(rg, "
+          "get(staff, x))))",
+          kR1 | kR2 | kR3, 0.0061500000000000001, true},
+     },
+     R"(expanded: select x.name from x in staff where x.salary > 100
+plan: mkproj(x.name, mkfilter(x.salary > 100, exec(field(rg), get(staff, x))))
+plans considered: 1
+estimated: net 0.006000s, cpu 0.000150s, rows 25.000000
+submit rg [wg]: get(staff, x) -- learned: time 0.006000s, rows 50.000000 (exact, 1 obs)
+decision R1 select-pushdown @ rg/wg: reject select(x.salary > 100, get(staff, x))
+candidate (chosen): R1 R2 R3, net 0.006000s, rows 25.000000, project(x.name, select(x.salary > 100, submit(rg, get(staff, x))))
+)"},
+    {"select x.name from x in emps where x.salary > 100",
+     4,
+     "mkunion(mkproj(x.name, exec(field(rm), select(x.salary > "
+     "100, get(emp, x)))), mkproj(x.name, mkfilter(x.salary > "
+     "100, exec(field(rg), get(staff, x)))))",
+     {0.029999999999999999, 0.00022999999999999998, 65},
+     {
+         {"submit(rm, project(x.name, select(x.salary > 100, "
+          "get(emp, x))))",
+          kR1 | kR2 | kR3, 0.035000000000000003, false},
+         {"project(x.name, submit(rm, select(x.salary > 100, "
+          "get(emp, x))))",
+          kR1 | kR3, 0.030079999999999999, true},
+         {"project(x.name, select(x.salary > 100, submit(rm, "
+          "get(emp, x))))",
+          kR2 | kR3, 0.051200000000000002, false},
+         {"project(x.name, select(x.salary > 100, submit(rg, "
+          "get(staff, x))))",
+          kR1 | kR2 | kR3, 0.0061500000000000001, true},
+     },
+     R"(expanded: select x.name from x in emps where x.salary > 100
+plan: mkunion(mkproj(x.name, exec(field(rm), select(x.salary > 100, get(emp, x)))), mkproj(x.name, mkfilter(x.salary > 100, exec(field(rg), get(staff, x)))))
+plans considered: 4
+estimated: net 0.030000s, cpu 0.000230s, rows 65.000000
+submit rm [wm]: select(x.salary > 100, get(emp, x)) -- learned: time 0.030000s, rows 40.000000 (exact, 1 obs)
+submit rg [wg]: get(staff, x) -- learned: time 0.006000s, rows 50.000000 (exact, 1 obs)
+decision R1 select-pushdown @ rm/wm: accept select(x.salary > 100, get(emp, x))
+decision R1 select-pushdown @ rg/wg: reject select(x.salary > 100, get(staff, x))
+candidate: R1 R2 R3, net 0.035000s, rows 40.000000, submit(rm, project(x.name, select(x.salary > 100, get(emp, x))))
+candidate (chosen): R1 R3, net 0.030000s, rows 40.000000, project(x.name, submit(rm, select(x.salary > 100, get(emp, x))))
+candidate: R2 R3, net 0.050000s, rows 200.000000, project(x.name, select(x.salary > 100, submit(rm, get(emp, x))))
+candidate (chosen): R1 R2 R3, net 0.006000s, rows 25.000000, project(x.name, select(x.salary > 100, submit(rg, get(staff, x))))
+)"},
+};
+
+std::string without_pruning_line(const std::string& explain) {
+  std::string out;
+  for (const std::string& line : split(explain, '\n')) {
+    if (line.empty() || line.starts_with("pruning:")) continue;
+    out += line + "\n";
+  }
+  return out;
+}
+
+TEST_F(EnumerationTest, VariantsCostsTiesAndExplainArePinned) {
+  for (const PinnedQuery& pinned : kPinned) {
+    SCOPED_TRACE(pinned.query);
+    Mediator::ExplainReport report =
+        world_.mediator.explain_report(pinned.query);
+    EXPECT_EQ(report.plans_considered, pinned.plans_considered);
+    EXPECT_EQ(report.plan, pinned.plan);
+    EXPECT_DOUBLE_EQ(report.estimated.net_s, pinned.estimated.net_s);
+    EXPECT_DOUBLE_EQ(report.estimated.cpu_s, pinned.estimated.cpu_s);
+    EXPECT_DOUBLE_EQ(report.estimated.rows, pinned.estimated.rows);
+    ASSERT_EQ(report.candidates.size(), pinned.candidates.size());
+    for (size_t i = 0; i < pinned.candidates.size(); ++i) {
+      const PlanCandidate& got = report.candidates[i];
+      const PinnedCandidate& want = pinned.candidates[i];
+      EXPECT_EQ(got.logical, want.logical) << i;
+      EXPECT_EQ(got.push_select, (want.flags & kR1) != 0) << i;
+      EXPECT_EQ(got.push_project, (want.flags & kR2) != 0) << i;
+      EXPECT_EQ(got.merge_joins, (want.flags & kR3) != 0) << i;
+      EXPECT_FALSE(got.bind_join) << i;
+      EXPECT_DOUBLE_EQ(got.cost.total(), want.total) << i;
+      EXPECT_EQ(got.chosen, want.chosen) << i;
+    }
+    EXPECT_EQ(without_pruning_line(report.to_string()), pinned.explain);
+  }
 }
 
 }  // namespace

@@ -217,7 +217,8 @@ TEST_F(RuntimeTest, CostHistoryRecordingHookFires) {
   ctx.record_exec = [&recorded](const SourceCall& call) {
     ++recorded;
     EXPECT_EQ(call.repository, "r0");
-    EXPECT_NE(call.shape, nullptr);
+    ASSERT_NE(call.cost_key, nullptr);
+    EXPECT_EQ(call.cost_key->text, "get(person0, x)");
     EXPECT_EQ(call.outcome, SourceCall::Outcome::Ok);
     EXPECT_GT(call.latency_s, 0.0);
     EXPECT_EQ(call.rows(), 1u);
