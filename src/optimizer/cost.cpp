@@ -1,7 +1,9 @@
 #include "optimizer/cost.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -42,13 +44,35 @@ void CostHistory::record(const std::string& repository,
   {
     std::unique_lock lock(shard.mutex);
     Observed& observed = shard.repositories[repository];
-    material = update(observed.exact[key.text], time_s, row_count);
+    Entry& exact = observed.exact[key.text];
+    material = update(exact, time_s, row_count);
+    exact.recorded = ++observed.records;
     update(observed.close[key.signature], time_s, row_count);
     update(observed.average, time_s, row_count);
+    if (observed.exact.size() > kMaxExactKeys) {
+      evict_oldest(observed);
+      material = true;
+    }
   }
   if (material) {
     version_.fetch_add(1, std::memory_order_release);
   }
+}
+
+void CostHistory::evict_oldest(Observed& observed) {
+  std::vector<uint64_t> stamps;
+  stamps.reserve(observed.exact.size());
+  for (const auto& [text, entry] : observed.exact) {
+    stamps.push_back(entry.recorded);
+  }
+  // Stamps are distinct, so exactly kEvictBatch entries are at or below
+  // the kEvictBatch-th smallest.
+  std::nth_element(stamps.begin(), stamps.begin() + (kEvictBatch - 1),
+                   stamps.end());
+  const uint64_t newest_dropped = stamps[kEvictBatch - 1];
+  std::erase_if(observed.exact, [newest_dropped](const auto& item) {
+    return item.second.recorded <= newest_dropped;
+  });
 }
 
 void CostHistory::record(const std::string& repository,

@@ -30,12 +30,19 @@
 // measured. The repository average is still "recorded cost information"
 // in the paper's sense — it just pools it per source.
 //
+// The exact table is bounded: a mediator fed varied literals ships a
+// new text per query, and one entry per text would grow without end.
+// Past kMaxExactKeys texts in one repository, the kEvictBatch least
+// recently recorded ones are dropped together; such a text then
+// estimates from its close match, like any text not seen before.
+//
 // Thread safety: record() runs from executor threads while estimate()
 // runs inside concurrent optimizations. State is sharded by repository
 // (every key lives under its repository, so one call touches one shard)
 // under per-shard shared_mutexes. version() is a monotonic counter bumped when
 // an observation *materially* changes the model — a new exact signature,
-// or an EWMA moving by more than 20% — which the mediator's plan cache
+// an EWMA moving by more than 20%, or an eviction of exact keys (their
+// estimates fall back to close matches) — which the mediator's plan cache
 // watches to re-optimize cached plans after cost observations (§3.3:
 // "modify or recompute plans that are affected").
 #pragma once
@@ -85,6 +92,11 @@ class CostHistory {
     return version_.load(std::memory_order_acquire);
   }
 
+  /// Exact keys kept per repository, and how many go at once when a
+  /// repository passes that.
+  static constexpr size_t kMaxExactKeys = 8192;
+  static constexpr size_t kEvictBatch = 1024;
+
   size_t exact_entries() const;
   size_t repository_entries() const;
   size_t close_entries() const;
@@ -95,12 +107,14 @@ class CostHistory {
     double time_ewma = 0;
     double rows_ewma = 0;
     size_t count = 0;
+    uint64_t recorded = 0;  ///< exact keys: Observed::records at last record
   };
   /// Everything recorded for one repository.
   struct Observed {
     Entry average;                                 ///< over all its calls
     std::unordered_map<std::string, Entry> exact;  ///< by CostKey::text
     std::unordered_map<std::string, Entry> close;  ///< by CostKey::signature
+    uint64_t records = 0;  ///< record() calls so far: the eviction clock
   };
   struct Shard {
     mutable std::shared_mutex mutex;
@@ -114,6 +128,8 @@ class CostHistory {
   /// Returns true when the update was material (new key, or an EWMA
   /// moved by more than kMaterialChange relative).
   bool update(Entry& entry, double time_s, double rows) const;
+  /// Drops the kEvictBatch least recently recorded exact keys.
+  static void evict_oldest(Observed& observed);
 
   static constexpr double kMaterialChange = 0.2;
 

@@ -1,4 +1,4 @@
-// Ordered secondary index for memdb tables: a skiplist keyed on Value
+// Ordered secondary index for memdb tables: a B+-tree keyed on Value
 // with the engine's own comparison semantics (Value::compare — Int and
 // Double unify on the number line, null == null, strings lexicographic).
 // Using the exact comparator the predicate evaluator uses is what makes
@@ -12,21 +12,27 @@
 // delete by swapping the last row into the hole and re-pointing its
 // index entries (Table::remove_row).
 //
-// The skiplist's level coins come from a SplitMix64 seeded per index —
-// structure (and therefore probe cost) is reproducible run to run,
-// which the virtual-time benches rely on.
+// Leaves are fixed-capacity arrays of sorted entries, chained both ways
+// so a range scan walks contiguous memory leaf after leaf; inner nodes
+// hold separator entries (every entry under the child left of a
+// separator orders below it, every entry right of it at or above it) and
+// child pointers. A node that overflows at its right edge stays full and
+// the new entry starts its right sibling — a backfill in row order over
+// increasing keys (the `id` index) packs every leaf — and any other
+// overflow halves the node. An erase that empties a leaf frees it and
+// drops it from its parent; nodes are never merged, and the last leaf
+// stays, so an emptied index is one empty leaf. Nothing is random: the
+// shape (and therefore probe cost) follows from the sequence of inserts
+// and erases alone, which the virtual-time benches rely on.
 //
 // Concurrency: none here. The owning Table serializes writers and the
 // Engine takes the table's shared lock around whole queries; the index
 // is plain single-writer data behind that gate.
 #pragma once
 
-#include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "value/value.hpp"
 
 namespace disco::memdb {
@@ -66,26 +72,35 @@ class OrderedIndex {
   /// `out` in key order — callers sort when they need row order.
   void range(const Bound& lo, const Bound& hi, std::vector<size_t>* out) const;
 
+  /// Shape of the tree: levels from root to leaves (1 while the root is
+  /// a leaf) and the number of leaves (1 for an empty index).
+  size_t levels() const { return levels_; }
+  size_t leaves() const;
+
  private:
-  static constexpr int kMaxLevel = 16;
+  struct Entry;
+  struct Node;
+  struct Leaf;
+  struct Inner;
+  struct Split;
 
-  struct Node {
-    Value key;
-    size_t row = 0;
-    std::array<Node*, kMaxLevel> next{};
-  };
-
-  /// -1 / 0 / +1 of (a_key, a_row) vs (b_key, b_row).
-  static int entry_compare(const Value& a_key, size_t a_row,
-                           const Value& b_key, size_t b_row);
-  int random_level();
+  /// Inserts under `node`, `level` levels above the leaves (1 = leaf).
+  /// Returns true and fills `split` when `node` overflowed into a new
+  /// right sibling.
+  bool insert_into(Node* node, size_t level, Entry entry, Split* split);
+  enum class Erased { Absent, Kept, Freed };
+  Erased erase_from(Node* node, size_t level, const Value& key, size_t row);
+  /// Appends the rows of the entries from the first one `before` is
+  /// false for, while `within` holds.
+  template <typename Before, typename Within>
+  void scan(Before before, Within within, std::vector<size_t>* out) const;
+  static void free_subtree(Node* node, size_t level);
 
   std::string name_;
   size_t column_;
   size_t size_ = 0;
-  int level_ = 1;  ///< highest level currently in use
-  std::unique_ptr<Node> head_;
-  SplitMix64 rng_;
+  size_t levels_ = 1;
+  Node* root_;
 };
 
 }  // namespace disco::memdb

@@ -203,14 +203,16 @@ int kind_rank(ValueKind kind) {
   return 8;
 }
 
+}  // namespace
+
 /// NaN ordering rule: IEEE NaN compares unordered against everything,
 /// which would make this function return 0 for NaN vs *any* number and
 /// silently corrupt every structure built on the total order (the
-/// skiplist index, std::map keyed on Value, set dedup, bag sorting).
+/// B+-tree index, std::map keyed on Value, set dedup, bag sorting).
 /// We give NaN a stable position instead: NaN == NaN, and NaN sorts
 /// after every other number, +inf included. Value::hash canonicalizes
 /// NaN bit patterns to match.
-int compare_doubles(double a, double b) {
+int compare_numbers(double a, double b) {
   const bool a_nan = std::isnan(a);
   const bool b_nan = std::isnan(b);
   if (a_nan || b_nan) {
@@ -222,9 +224,30 @@ int compare_doubles(double a, double b) {
   return 0;
 }
 
-}  // namespace
+/// Converting `a` to double would round every integer beyond 2^53 (2^53
+/// and 2^53 + 1 both become 9007199254740992.0), so compare `a` with the
+/// integer part of `b`, which is exact inside int64's range, and let the
+/// fraction of `b` break a tie.
+int compare_numbers(int64_t a, double b) {
+  if (std::isnan(b)) return -1;
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (b >= kTwoTo63) return -1;
+  if (b < -kTwoTo63) return 1;
+  const double whole = std::trunc(b);
+  const auto b_whole = static_cast<int64_t>(whole);
+  if (a != b_whole) return a < b_whole ? -1 : 1;
+  if (whole < b) return -1;
+  if (whole > b) return 1;
+  return 0;
+}
 
 int Value::compare(const Value& a, const Value& b) {
+  // Integer keys are the hot case (index probes, equi-joins on ids).
+  const auto* a_int = std::get_if<int64_t>(&a.payload_);
+  const auto* b_int = std::get_if<int64_t>(&b.payload_);
+  if (a_int != nullptr && b_int != nullptr) {
+    return compare_numbers(*a_int, *b_int);
+  }
   int ra = kind_rank(a.kind());
   int rb = kind_rank(b.kind());
   if (ra != rb) return ra < rb ? -1 : 1;
@@ -234,8 +257,10 @@ int Value::compare(const Value& a, const Value& b) {
     case ValueKind::Bool:
       return static_cast<int>(a.as_bool()) - static_cast<int>(b.as_bool());
     case ValueKind::Int:
+      return compare_numbers(*a_int, b.as_double());
     case ValueKind::Double:
-      return compare_doubles(a.as_double(), b.as_double());
+      if (b_int != nullptr) return compare_numbers(a.as_double(), *b_int);
+      return compare_numbers(a.as_double(), b.as_double());
     case ValueKind::String:
       return a.as_string().compare(b.as_string());
     case ValueKind::Bag:

@@ -199,21 +199,6 @@ int cell_rank(ColType type) {
   return 4;
 }
 
-/// Mirror of value.cpp's compare_doubles, NaN rule included: NaN == NaN
-/// and NaN sorts after every other number (+inf included), so batch
-/// kernels and the row path agree on the total order.
-int compare_doubles(double a, double b) {
-  const bool a_nan = std::isnan(a);
-  const bool b_nan = std::isnan(b);
-  if (a_nan || b_nan) {
-    if (a_nan && b_nan) return 0;
-    return a_nan ? 1 : -1;
-  }
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
-}
-
 uint64_t fnv1a(const char* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;
   for (size_t i = 0; i < n; ++i) {
@@ -241,15 +226,13 @@ int Column::compare_cells(size_t row, const Column& other,
       return static_cast<int>(bools_[row]) -
              static_cast<int>(other.bools_[other_row]);
     case ColType::Int:
-    case ColType::Double: {
-      const double a = type_ == ColType::Int
-                           ? static_cast<double>(ints_[row])
-                           : doubles_[row];
-      const double b = other.type_ == ColType::Int
-                           ? static_cast<double>(other.ints_[other_row])
-                           : other.doubles_[other_row];
-      return compare_doubles(a, b);
-    }
+      return other.type_ == ColType::Int
+                 ? compare_numbers(ints_[row], other.ints_[other_row])
+                 : compare_numbers(ints_[row], other.doubles_[other_row]);
+    case ColType::Double:
+      return other.type_ == ColType::Int
+                 ? compare_numbers(doubles_[row], other.ints_[other_row])
+                 : compare_numbers(doubles_[row], other.doubles_[other_row]);
     case ColType::String:
       return strings_[row].compare(other.strings_[other_row]);
     case ColType::Untyped:
@@ -288,10 +271,13 @@ int Column::compare_cell_value(size_t row, const Value& value) const {
       return static_cast<int>(bools_[row]) -
              static_cast<int>(value.as_bool() ? 1 : 0);
     case ColType::Int:
-      return compare_doubles(static_cast<double>(ints_[row]),
-                             value.as_double());
+      return value.kind() == ValueKind::Int
+                 ? compare_numbers(ints_[row], value.as_int())
+                 : compare_numbers(ints_[row], value.as_double());
     case ColType::Double:
-      return compare_doubles(doubles_[row], value.as_double());
+      return value.kind() == ValueKind::Int
+                 ? compare_numbers(doubles_[row], value.as_int())
+                 : compare_numbers(doubles_[row], value.as_double());
     case ColType::String:
       return strings_[row].compare(value.as_string());
     case ColType::Untyped:

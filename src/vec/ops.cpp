@@ -88,21 +88,20 @@ bool eval_cmp_fast(const PredNode& node, const ColumnBatch& batch,
   const size_t n = batch.rows;
   if ((col.type() == ColType::Int || col.type() == ColType::Double) &&
       is_numeric_kind(lit.kind())) {
-    const double rhs = lit.as_double();
+    // compare_numbers on the unboxed pair, as compare_cell_value does.
+    auto compare_all = [&](const auto* cells, auto rhs) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!candidates[i]) continue;
+        (*out)[i] = apply_op(op, compare_numbers(cells[i], rhs));
+      }
+    };
+    const bool int_literal = lit.kind() == ValueKind::Int;
     if (col.type() == ColType::Int) {
-      const int64_t* cells = col.ints().data();
-      for (size_t i = 0; i < n; ++i) {
-        if (!candidates[i]) continue;
-        const double lhs = static_cast<double>(cells[i]);
-        (*out)[i] = apply_op(op, lhs < rhs ? -1 : (lhs > rhs ? 1 : 0));
-      }
+      int_literal ? compare_all(col.ints().data(), lit.as_int())
+                  : compare_all(col.ints().data(), lit.as_double());
     } else {
-      const double* cells = col.doubles().data();
-      for (size_t i = 0; i < n; ++i) {
-        if (!candidates[i]) continue;
-        (*out)[i] =
-            apply_op(op, cells[i] < rhs ? -1 : (cells[i] > rhs ? 1 : 0));
-      }
+      int_literal ? compare_all(col.doubles().data(), lit.as_int())
+                  : compare_all(col.doubles().data(), lit.as_double());
     }
     return true;
   }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -409,6 +413,182 @@ TEST(OrderedIndexTest, EraseIsExactOnKeyAndRow) {
   EXPECT_EQ(index.size(), 1u);
 }
 
+TEST(OrderedIndexTest, AscendingInsertsPackEveryLeaf) {
+  // Each insert lands at the right edge of the last leaf, so a split
+  // leaves the full leaf behind: 32 entries per leaf, none half empty.
+  OrderedIndex index("ix", 0);
+  for (size_t row = 0; row < 3200; ++row) {
+    index.insert(Value::integer(static_cast<int64_t>(row)), row);
+  }
+  EXPECT_EQ(index.leaves(), 100u);
+  EXPECT_EQ(index.levels(), 3u);  // 100 leaves need 4 inner nodes
+  std::vector<size_t> hits;
+  index.range(OrderedIndex::Bound::at(Value::integer(31), true),
+              OrderedIndex::Bound::at(Value::integer(33), true), &hits);
+  EXPECT_EQ(hits, (std::vector<size_t>{31, 32, 33}));
+}
+
+TEST(OrderedIndexTest, ErasingEveryEntryLeavesOneEmptyLeaf) {
+  OrderedIndex index("ix", 0);
+  constexpr size_t kRows = 5000;
+  auto key = [](size_t row) {
+    return Value::integer(static_cast<int64_t>(row % 97));
+  };
+  for (size_t row = 0; row < kRows; ++row) index.insert(key(row), row);
+  EXPECT_GE(index.levels(), 3u);
+  EXPECT_GT(index.leaves(), kRows / 32);
+  // Erase from the middle outwards, so leaves empty on both sides of
+  // the survivors and inner nodes lose first, middle and last children.
+  for (size_t i = 0; i < kRows; ++i) {
+    const size_t row = i % 2 == 0 ? kRows / 2 + i / 2 : kRows / 2 - 1 - i / 2;
+    ASSERT_TRUE(index.erase(key(row), row)) << row;
+  }
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.leaves(), 1u);
+  EXPECT_EQ(index.levels(), 1u);
+  std::vector<size_t> hits;
+  index.range(OrderedIndex::Bound::open(), OrderedIndex::Bound::open(),
+              &hits);
+  EXPECT_TRUE(hits.empty());
+  EXPECT_FALSE(index.erase(key(0), 0));
+  index.insert(key(7), 7);
+  index.probe(key(7), &hits);
+  EXPECT_EQ(hits, (std::vector<size_t>{7}));
+}
+
+// Property: the B+-tree answers every probe and every range exactly as a
+// sorted multiset of its (key, row) entries does, through inserts, exact
+// erases and re-keys. Keys mix nulls, Int/Double twins (one equal-key
+// run), NaN, strings and a hot key whose run spans many leaves.
+TEST(OrderedIndexTest, MatchesASortedMultisetUnderChurn) {
+  SplitMix64 rng(20261019);
+  std::vector<Value> keys = {Value::null(), Value::boolean(false),
+                             Value::real(std::nan("")), Value::real(-0.5),
+                             Value::real(2.5), Value::string(""),
+                             Value::string("a"), Value::string("ab"),
+                             Value::string("b")};
+  for (int64_t k = -2; k < 12; ++k) keys.push_back(Value::integer(k));
+  for (int64_t k = 0; k < 4; ++k) {
+    keys.push_back(Value::real(static_cast<double>(k)));  // Int twins
+  }
+  auto random_key = [&] {
+    if (rng.next_in(0, 3) == 0) return Value::integer(7);  // the hot run
+    return keys[static_cast<size_t>(
+        rng.next_in(0, static_cast<int64_t>(keys.size()) - 1))];
+  };
+  // Probes also ask for keys no entry holds; ranges take every pair of
+  // these bounds (and open ends) under all four inclusivity flags.
+  std::vector<Value> probes = keys;
+  probes.push_back(Value::integer(100));
+  probes.push_back(Value::real(3.25));
+  probes.push_back(Value::string("c"));
+  probes.push_back(Value::boolean(true));
+  const std::vector<Value> bounds = {
+      Value::null(),         Value::integer(-2), Value::real(0.0),
+      Value::integer(3),     Value::integer(7),  Value::real(7.0),
+      Value::integer(11),    Value::real(std::nan("")),
+      Value::string("a"),    Value::string("zz")};
+
+  OrderedIndex index("ix", 0);
+  std::multiset<std::pair<Value, size_t>> reference;
+  size_t next_row = 0;
+
+  auto check = [&](const std::string& phase) {
+    ASSERT_EQ(index.size(), reference.size()) << phase;
+    // Emptied leaves are freed: no leaf but a lone root is empty.
+    ASSERT_LE(index.leaves(), std::max<size_t>(reference.size(), 1)) << phase;
+    for (const Value& key : probes) {
+      std::vector<size_t> expected, got;
+      for (const auto& [k, row] : reference) {
+        if (Value::compare(k, key) == 0) expected.push_back(row);
+      }
+      index.probe(key, &got);
+      ASSERT_EQ(got, expected) << phase << " probe " << key.to_oql();
+    }
+    std::vector<OrderedIndex::Bound> sides = {OrderedIndex::Bound::open()};
+    for (const Value& b : bounds) {
+      sides.push_back(OrderedIndex::Bound::at(b, true));
+      sides.push_back(OrderedIndex::Bound::at(b, false));
+    }
+    auto admits_lo = [](const OrderedIndex::Bound& lo, const Value& k) {
+      if (!lo.present) return true;
+      const int c = Value::compare(k, lo.value);
+      return c > 0 || (c == 0 && lo.inclusive);
+    };
+    auto admits_hi = [](const OrderedIndex::Bound& hi, const Value& k) {
+      if (!hi.present) return true;
+      const int c = Value::compare(k, hi.value);
+      return c < 0 || (c == 0 && hi.inclusive);
+    };
+    for (const OrderedIndex::Bound& lo : sides) {
+      for (const OrderedIndex::Bound& hi : sides) {
+        std::vector<size_t> expected, got;
+        for (const auto& [k, row] : reference) {
+          if (admits_lo(lo, k) && admits_hi(hi, k)) expected.push_back(row);
+        }
+        index.range(lo, hi, &got);
+        ASSERT_EQ(got, expected)
+            << phase << " range " << (lo.present ? lo.value.to_oql() : "-")
+            << (lo.inclusive ? "[" : "(") << " "
+            << (hi.present ? hi.value.to_oql() : "-")
+            << (hi.inclusive ? "]" : ")");
+      }
+    }
+  };
+  auto insert = [&] {
+    Value key = random_key();
+    index.insert(key, next_row);
+    reference.emplace(std::move(key), next_row++);
+  };
+  auto pick = [&] {
+    auto it = reference.begin();
+    std::advance(it, rng.next_in(0, static_cast<int64_t>(reference.size()) - 1));
+    return it;
+  };
+
+  for (int i = 0; i < 4000; ++i) insert();
+  EXPECT_GE(index.levels(), 3u);
+  check("fill");
+  for (int batch = 0; batch < 4; ++batch) {
+    for (int op = 0; op < 1500; ++op) {
+      switch (rng.next_in(0, 3)) {
+        case 0:
+          insert();
+          break;
+        case 1: {  // exact erase; a wrong row or key must not match
+          auto it = pick();
+          ASSERT_FALSE(index.erase(it->first, next_row));
+          ASSERT_FALSE(index.erase(Value::string("absent"), it->second));
+          ASSERT_TRUE(index.erase(it->first, it->second));
+          reference.erase(it);
+          break;
+        }
+        default: {  // re-key: the row keeps its id under a new key
+          auto it = pick();
+          const size_t row = it->second;
+          ASSERT_TRUE(index.erase(it->first, row));
+          reference.erase(it);
+          Value key = random_key();
+          index.insert(key, row);
+          reference.emplace(std::move(key), row);
+          break;
+        }
+      }
+    }
+    check("churn " + std::to_string(batch));
+  }
+  // Drain to a few entries (freeing leaves), then grow again over the
+  // thinned structure.
+  while (reference.size() > 40) {
+    auto it = pick();
+    ASSERT_TRUE(index.erase(it->first, it->second));
+    reference.erase(it);
+  }
+  check("drained");
+  for (int i = 0; i < 2000; ++i) insert();
+  check("regrown");
+}
+
 TEST(TableIndexTest, CreateIndexBackfillsAndValidates) {
   Table t("t", {{"a", ColumnType::Int}, {"b", ColumnType::Text}});
   t.insert({Value::integer(1), Value::string("x")});
@@ -606,6 +786,36 @@ TEST_F(IndexedEngineTest, ForcedScanAnswersIdentically) {
           << sql;  // same rows in the same (row-id) order
     }
   }
+}
+
+TEST(IndexedEngineExactTest, ProbeBeyondTwoTo53MatchesTheScan) {
+  // 2^53 + 1 and its neighbours share one double; the index and the
+  // scan must both tell them apart.
+  Database db("db");
+  Table& t = db.create_table("t", {{"k", ColumnType::Int}});
+  constexpr int64_t kTwoTo53 = int64_t{1} << 53;
+  for (int64_t delta : {1, 0, 2, -1, 1}) {
+    t.insert({Value::integer(kTwoTo53 + delta)});
+  }
+  Engine engine(&db);
+  engine.execute_sql("CREATE INDEX t_k ON t (k)");
+  for (const char* sql : {"SELECT * FROM t WHERE k = 9007199254740993",
+                          "SELECT * FROM t WHERE k > 9007199254740992",
+                          "SELECT * FROM t WHERE k <= 9007199254740992"}) {
+    ResultSet indexed = engine.execute_sql(sql);
+    EXPECT_EQ(engine.last_stats().index_probes, 1u) << sql;
+    engine.set_use_indexes(false);
+    ResultSet scanned = engine.execute_sql(sql);
+    engine.set_use_indexes(true);
+    ASSERT_EQ(indexed.rows.size(), scanned.rows.size()) << sql;
+    for (size_t i = 0; i < indexed.rows.size(); ++i) {
+      EXPECT_EQ(Value::list(indexed.rows[i]), Value::list(scanned.rows[i]))
+          << sql;
+    }
+  }
+  EXPECT_EQ(engine.execute_sql("SELECT * FROM t WHERE k = 9007199254740993")
+                .rows.size(),
+            2u);
 }
 
 TEST_F(IndexedEngineTest, CreateIndexNeedsReadWriteEngine) {

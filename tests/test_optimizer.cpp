@@ -89,6 +89,44 @@ TEST(CostHistoryTest, PerRepositoryKeys) {
             CostHistory::Basis::Default);
 }
 
+TEST(CostHistoryTest, ExactKeysPerRepositoryAreBounded) {
+  // One literal-varying selection per call, as a client with fresh
+  // constants ships: every text is new, every signature the same.
+  CostHistory history;
+  auto key = [](size_t i) {
+    return algebra::CostKey{"select(x.a = " + std::to_string(i) + ")",
+                            "select(x.a = ?)"};
+  };
+  const uint64_t version_before = history.version();
+  constexpr size_t kTexts = 100'000;
+  for (size_t i = 0; i < kTexts; ++i) {
+    history.record("r0", key(i), 0.001 * static_cast<double>(i % 7), 3);
+  }
+  ASSERT_LE(history.exact_entries(), CostHistory::kMaxExactKeys);
+  EXPECT_GT(history.exact_entries(),
+            CostHistory::kMaxExactKeys - CostHistory::kEvictBatch);
+  EXPECT_EQ(history.estimate("r0", key(kTexts - 1)).basis,
+            CostHistory::Basis::Exact);
+  EXPECT_EQ(history.estimate("r0", key(0)).basis,
+            CostHistory::Basis::Close);
+  EXPECT_GT(history.version(), version_before);
+
+  // Recording refreshes a key: the one re-recorded just before the next
+  // eviction outlives the keys recorded between it and that eviction.
+  const size_t kept = history.exact_entries();
+  history.record("r0", key(kTexts - kept), 0.5, 3);  // the oldest left
+  for (size_t i = 0; i < CostHistory::kMaxExactKeys - kept + 1; ++i) {
+    history.record("r0", key(kTexts + i), 0.5, 3);
+  }
+  EXPECT_EQ(history.estimate("r0", key(kTexts - kept)).basis,
+            CostHistory::Basis::Exact);
+  EXPECT_EQ(history.estimate("r0", key(kTexts - kept + 1)).basis,
+            CostHistory::Basis::Close);
+  // Other repositories keep their own budget.
+  history.record("r1", key(0), 0.5, 3);
+  EXPECT_EQ(history.estimate("r1", key(0)).basis, CostHistory::Basis::Exact);
+}
+
 // -------------------------------------------------------------- planning ---
 
 class OptimizerTest : public ::testing::Test {

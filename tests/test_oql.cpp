@@ -335,6 +335,18 @@ TEST_F(EvalFixture, Comparisons) {
   EXPECT_THROW(run("1 < \"a\""), ExecutionError);
 }
 
+TEST_F(EvalFixture, IntegersBeyondTwoTo53StayDistinct) {
+  // Both literals are the same double; as integers they differ.
+  Value v = run(
+      "select x from x in bag(9007199254740993, 9007199254740992) "
+      "where x = 9007199254740992");
+  EXPECT_EQ(v, Value::bag({Value::integer(9007199254740992)}));
+  EXPECT_EQ(run("distinct(bag(9007199254740993, 9007199254740992))").size(),
+            2u);
+  EXPECT_EQ(run("9007199254740993 > 9007199254740992"),
+            Value::boolean(true));
+}
+
 TEST_F(EvalFixture, BooleanShortCircuit) {
   // Right operand would throw; short-circuit must avoid evaluating it.
   EXPECT_EQ(run("false and 1 / 0 = 1"), Value::boolean(false));

@@ -270,7 +270,7 @@ TEST(ValueDeepSize, SharedPayloadsCountAtEveryReference) {
 
 TEST(ValueNaN, TotalOrderPlacesNaNAfterEveryNumber) {
   // compare() is a total order even over NaN: NaN == NaN and NaN sorts
-  // after every number, including +inf (value.cpp compare_doubles).
+  // after every number, including +inf (value.cpp compare_numbers).
   const Value nan = Value::real(std::nan(""));
   const Value inf = Value::real(std::numeric_limits<double>::infinity());
   EXPECT_EQ(Value::compare(nan, nan), 0);
@@ -314,6 +314,66 @@ TEST(ValueNaN, SortsDeterministically) {
   EXPECT_EQ(s.items()[2],
             Value::real(std::numeric_limits<double>::infinity()));
   EXPECT_TRUE(std::isnan(s.items()[3].as_double()));
+}
+
+// 2^53 is where doubles stop holding every integer: 2^53 + 1 rounds to
+// 2^53 as a double, so comparing through double would merge them.
+constexpr int64_t kTwoTo53 = int64_t{1} << 53;
+
+TEST(ValueExactNumbers, IntegersBeyondTwoTo53StayDistinct) {
+  const Value below = Value::integer(kTwoTo53 - 1);
+  const Value at = Value::integer(kTwoTo53);
+  const Value above = Value::integer(kTwoTo53 + 1);
+  EXPECT_GT(Value::compare(above, at), 0);
+  EXPECT_LT(Value::compare(at, above), 0);
+  EXPECT_LT(Value::compare(below, at), 0);
+  EXPECT_NE(above, at);
+  EXPECT_EQ(above, Value::integer(kTwoTo53 + 1));
+  EXPECT_LT(Value::compare(Value::integer(INT64_MIN),
+                           Value::integer(INT64_MIN + 1)), 0);
+  EXPECT_GT(Value::compare(Value::integer(INT64_MAX),
+                           Value::integer(INT64_MAX - 1)), 0);
+  // Equal values still hash alike; distinct ones may share a hash.
+  EXPECT_EQ(above.hash(), Value::integer(kTwoTo53 + 1).hash());
+}
+
+TEST(ValueExactNumbers, SetKeepsNeighboursBeyondTwoTo53) {
+  const Value s = Value::set({Value::integer(kTwoTo53 + 1),
+                              Value::integer(kTwoTo53),
+                              Value::integer(kTwoTo53 - 1),
+                              Value::integer(kTwoTo53 + 1)});
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.items()[0].as_int(), kTwoTo53 - 1);
+  EXPECT_EQ(s.items()[1].as_int(), kTwoTo53);
+  EXPECT_EQ(s.items()[2].as_int(), kTwoTo53 + 1);
+}
+
+TEST(ValueExactNumbers, IntMeetsDoubleByTheNumbersTheyDenote) {
+  const Value two53 = Value::real(static_cast<double>(kTwoTo53));
+  EXPECT_EQ(Value::compare(Value::integer(kTwoTo53), two53), 0);
+  EXPECT_EQ(Value::integer(kTwoTo53), two53);
+  EXPECT_EQ(Value::integer(kTwoTo53).hash(), two53.hash());
+  EXPECT_GT(Value::compare(Value::integer(kTwoTo53 + 1), two53), 0);
+  EXPECT_LT(Value::compare(two53, Value::integer(kTwoTo53 + 1)), 0);
+  EXPECT_LT(Value::compare(Value::integer(kTwoTo53 - 1), two53), 0);
+  // Fractions and the edges of int64's range.
+  EXPECT_EQ(Value::integer(1), Value::real(1.0));
+  EXPECT_LT(Value::compare(Value::integer(1), Value::real(1.5)), 0);
+  EXPECT_GT(Value::compare(Value::integer(-1), Value::real(-1.5)), 0);
+  EXPECT_EQ(Value::compare(Value::integer(0), Value::real(-0.0)), 0);
+  EXPECT_LT(Value::compare(Value::integer(INT64_MAX), Value::real(9.3e18)),
+            0);  // 2^63 - 1 < 9.3e18, which int64 cannot hold
+  EXPECT_GT(Value::compare(Value::integer(INT64_MIN), Value::real(-9.3e18)),
+            0);
+  EXPECT_EQ(Value::compare(Value::integer(INT64_MIN),
+                           Value::real(-9223372036854775808.0)), 0);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_LT(Value::compare(Value::integer(INT64_MAX), Value::real(inf)), 0);
+  EXPECT_GT(Value::compare(Value::integer(INT64_MIN), Value::real(-inf)), 0);
+  EXPECT_LT(Value::compare(Value::integer(INT64_MAX),
+                           Value::real(std::nan(""))), 0);
+  EXPECT_GT(Value::compare(Value::real(std::nan("")),
+                           Value::integer(INT64_MAX)), 0);
 }
 
 TEST(Value, NestedStructures) {

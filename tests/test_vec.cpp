@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <random>
 #include <string>
@@ -316,6 +317,52 @@ TEST(VecColumn, IntAndDoubleCellsAreEqualAndCollide) {
   ASSERT_TRUE(nz.append(Value::real(-0.0)));
   EXPECT_EQ(z.compare_cells(0, nz, 0), 0);
   EXPECT_EQ(z.hash_cell(0), nz.hash_cell(0));
+}
+
+TEST(VecColumn, IntegersBeyondTwoTo53CompareExactly) {
+  // 2^53 + 1 has no double of its own; cells compare as integers.
+  constexpr int64_t kTwoTo53 = int64_t{1} << 53;
+  vec::Column ints, doubles;
+  ASSERT_TRUE(ints.append(Value::integer(kTwoTo53)));
+  ASSERT_TRUE(ints.append(Value::integer(kTwoTo53 + 1)));
+  ASSERT_TRUE(doubles.append(Value::real(static_cast<double>(kTwoTo53))));
+  EXPECT_GT(ints.compare_cells(1, ints, 0), 0);
+  EXPECT_EQ(ints.compare_cells(0, doubles, 0), 0);
+  EXPECT_GT(ints.compare_cells(1, doubles, 0), 0);
+  EXPECT_LT(doubles.compare_cells(0, ints, 1), 0);
+  EXPECT_GT(ints.compare_cell_value(1, Value::integer(kTwoTo53)), 0);
+  EXPECT_LT(doubles.compare_cell_value(0, Value::integer(kTwoTo53 + 1)), 0);
+
+  // The filter's null-free fast path agrees with the evaluator: over an
+  // Int column for Int and Double literals alike, and over a Double
+  // column holding NaN, which sorts after every number.
+  auto filter_agrees = [](const std::vector<Value>& cells,
+                          std::initializer_list<const char*> predicates) {
+    std::vector<Value> rows;
+    for (const Value& cell : cells) {
+      rows.push_back(Value::strct({{"x", Value::strct({{"a", cell}})}}));
+    }
+    std::optional<Table> table = vec::from_rows(rows, 4);
+    ASSERT_TRUE(table.has_value());
+    for (const char* text : predicates) {
+      const oql::ExprPtr expr = oql::parse(text);
+      std::optional<vec::PredicateProgram> program =
+          vec::compile_predicate(expr, table->schema);
+      ASSERT_TRUE(program.has_value()) << text;
+      EXPECT_EQ(sorted_oql(vec::to_rows(vec::filter_table(*table, *program))),
+                sorted_oql(row_filter(rows, expr)))
+          << text;
+    }
+  };
+  filter_agrees({Value::integer(kTwoTo53 - 1), Value::integer(kTwoTo53),
+                 Value::integer(kTwoTo53 + 1), Value::integer(kTwoTo53 + 2)},
+                {"x.a = 9007199254740992", "x.a > 9007199254740992",
+                 "x.a <= 9007199254740993", "x.a = 9007199254740992.0",
+                 "x.a > 9007199254740992.0"});
+  filter_agrees({Value::real(std::nan("")), Value::real(1.5),
+                 Value::real(static_cast<double>(kTwoTo53))},
+                {"x.a = 1.5", "x.a > 1.5", "x.a != 1.5",
+                 "x.a < 9007199254740993"});
 }
 
 TEST(VecColumn, CompareAgainstStructRanksBelow) {
