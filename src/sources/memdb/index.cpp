@@ -99,8 +99,9 @@ size_t child_for(const I& inner, Before before) {
 }  // namespace
 
 OrderedIndex::OrderedIndex(std::string name, size_t column)
-    : name_(std::move(name)), column_(column), root_(new Leaf) {
+    : name_(std::move(name)), column_(column), root_(nullptr) {
   internal_check(!name_.empty(), "index needs a name");
+  root_ = new Leaf;  // after the check: a throwing constructor frees nothing
 }
 
 OrderedIndex::~OrderedIndex() { free_subtree(root_, levels_); }
