@@ -14,9 +14,8 @@
 #                                    # benchmark's self-test (builds into
 #                                    # .bench_build/)
 #   DISCO_COVERAGE=1 scripts/ci.sh  # additionally build instrumented,
-#                                   # run the vec/memdb/docstore suites
-#                                   # and gate their line coverage
-#                                   # (src/vec 90%, sources 85%)
+#                                   # run the memdb/docstore suites and
+#                                   # gate their line coverage (85%)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -69,9 +68,8 @@ if [[ "${DISCO_BENCH:-0}" != "0" ]]; then
   "$repo/build/bench/bench_server" "$repo/BENCH_server.json"
   echo "== many-sources bench (1k/5k/10k extents, flat vs hierarchical) =="
   "$repo/build/bench/bench_manysources" "$repo/BENCH_manysources.json"
-  echo "== vectorized bench (batch kernels vs row loops, 3x bar) =="
-  cmake --build "$repo/build" -j "$(nproc)" --target bench_vectorized
-  "$repo/build/bench/bench_vectorized" "$repo/BENCH_vectorized.json"
+  echo "== index bench (1M rows: index build, probes, plan flip, 10x bar) =="
+  "$repo/build/bench/bench_index" "$repo/BENCH_index.json"
   echo "== docsource bench (path pushdown vs whole-doc fetch, 5x bar) =="
   "$repo/build/bench/bench_docsource" "$repo/BENCH_docsource.json"
 fi
@@ -85,15 +83,13 @@ if [[ "${DISCO_PERFBENCH:-0}" != "0" ]]; then
 fi
 
 if [[ "${DISCO_COVERAGE:-0}" != "0" ]]; then
-  echo "== coverage gate: src/vec >= 90%, src/sources/memdb >= 85%, src/sources/docstore >= 85% =="
+  echo "== coverage gate: src/sources/memdb >= 85%, src/sources/docstore >= 85% =="
   cmake -B "$repo/build-cov" -S "$repo" -DDISCO_COVERAGE=ON
   cmake --build "$repo/build-cov" -j "$(nproc)" \
-    --target test_vec test_vec_differential test_memdb \
-             test_memdb_concurrency test_differential \
+    --target test_memdb test_memdb_concurrency test_differential \
              test_docstore test_doc_differential
   # Stale counters from an earlier run would inflate the numbers.
   find "$repo/build-cov" -name '*.gcda' -delete
-  ctest --test-dir "$repo/build-cov" -L vec --output-on-failure
   # The memdb suites (test_memdb + the storms + the MiniSQL
   # differential) drive src/sources/memdb, including the new index path.
   "$repo/build-cov/tests/test_memdb"
@@ -124,8 +120,6 @@ if [[ "${DISCO_COVERAGE:-0}" != "0" ]]; then
           exit (pct >= gate + 0 ? 0 : 1)
         }'
   }
-  gate_coverage "$repo/build-cov/src/vec/CMakeFiles/disco_vec.dir" \
-    "src/vec/" 90
   gate_coverage \
     "$repo/build-cov/src/sources/memdb/CMakeFiles/disco_memdb.dir" \
     "src/sources/memdb/" 85

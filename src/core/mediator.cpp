@@ -11,7 +11,6 @@
 #include "oql/parser.hpp"
 #include "oql/printer.hpp"
 #include "physical/runtime.hpp"
-#include "vec/ops.hpp"
 
 namespace disco {
 
@@ -328,8 +327,6 @@ physical::ExecContext Mediator::make_context(
   }
   context.deadline_s = deadline_s;
   context.validate_rows = options_.validate_source_rows;
-  context.vec = options_.vec;
-  context.metrics = options_.vec.enabled ? registry_ : nullptr;
   // One feed in both modes: every call that reached a source reports its
   // health outcome (tracked even when breaking is disabled — passive
   // monitoring) and, when a reply came, its §3.3 cost observation. A
@@ -511,45 +508,6 @@ size_t Mediator::live_handles() const {
   return handles_.size();
 }
 
-namespace {
-
-/// Local-mode vec fast path: `agg(name)` over a resolver collection,
-/// computed batch-wise when the collection converts to columns and the
-/// kernel covers the case. nullopt hands the expression back to the
-/// evaluator, whose errors (empty min/max, non-numeric sum, unknown
-/// name) then surface exactly as on the row path.
-std::optional<Value> vec_local_aggregate(
-    const oql::ExprPtr& expr, const oql::CollectionResolver& resolver,
-    const vec::VecOptions& vec_options, obs::Registry* metrics) {
-  if (expr == nullptr || expr->kind != oql::ExprKind::Call) {
-    return std::nullopt;
-  }
-  const std::string& fn = expr->name;
-  if (fn != "sum" && fn != "count" && fn != "min" && fn != "max" &&
-      fn != "avg") {
-    return std::nullopt;
-  }
-  if (expr->args.size() != 1 ||
-      expr->args[0]->kind != oql::ExprKind::Ident) {
-    return std::nullopt;
-  }
-  std::optional<Value> collection = resolver.resolve(expr->args[0]->name);
-  if (!collection.has_value()) return std::nullopt;
-  const ValueKind kind = collection->kind();
-  if (kind != ValueKind::Bag && kind != ValueKind::Set &&
-      kind != ValueKind::List) {
-    return std::nullopt;
-  }
-  std::optional<vec::Table> table =
-      vec::from_rows(collection->items(), vec_options.batch_rows);
-  if (!table.has_value()) return std::nullopt;
-  obs::ScopedRate rate(metrics, "vec.agg");
-  rate.add_rows(table->rows());
-  return vec::aggregate_table(*table, fn);
-}
-
-}  // namespace
-
 Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
                              const optimizer::Optimizer::Result& planned,
                              QueryOptions options, const QueryTrace& qt) {
@@ -599,17 +557,6 @@ Answer Mediator::run_planned(const fedcat::SnapshotPtr& snap,
     // Local mode: the mediator evaluates the expression itself over the
     // materialized collections.
     obs::ScopedSpan local(qt.obs(), "local_eval", "mediator");
-    if (options_.vec.enabled) {
-      // Batch-wise aggregation: `agg(name)` over a materialized flat bag
-      // computes columnar; any shape/type the kernel cannot reproduce
-      // exactly falls through to the evaluator (same result or error).
-      std::optional<Value> agg =
-          vec_local_aggregate(planned.local, resolver, options_.vec,
-                              registry_);
-      if (agg.has_value()) {
-        return Answer::complete_answer(std::move(*agg), std::move(stats));
-      }
-    }
     Value data = oql::Evaluator(&resolver).eval(planned.local);
     return Answer::complete_answer(std::move(data), std::move(stats));
   }
@@ -692,105 +639,6 @@ void collect_submits(const physical::PhysicalPtr& node,
   }
 }
 
-/// Static mirror of the runtime's per-operator vec decisions over the
-/// chosen plan: returns the schema the subtree produces batched, or
-/// nullopt when it will run on the row path, appending one "<op> -> vec"
-/// / "<op> -> row path" line per mediator-side operator. Exec leaves are
-/// batchable when their remote is env-shaped against the catalog's
-/// interfaces; actual rows can still fall back (always safe).
-std::optional<vec::Schema> vec_walk(const physical::PhysicalPtr& node,
-                                    const catalog::Catalog& catalog,
-                                    std::vector<std::string>* ops) {
-  switch (node->op) {
-    case physical::POp::Exec:
-      return vec::static_schema(node->remote, catalog);
-    case physical::POp::Const:
-      return std::nullopt;  // data-dependent; decided at run time
-    case physical::POp::Filter: {
-      std::optional<vec::Schema> in = vec_walk(node->child, catalog, ops);
-      if (in.has_value() &&
-          vec::compile_predicate(node->predicate, *in).has_value()) {
-        ops->push_back("filter -> vec");
-        return in;
-      }
-      ops->push_back("filter -> row path");
-      return std::nullopt;
-    }
-    case physical::POp::Project: {
-      std::optional<vec::Schema> in = vec_walk(node->child, catalog, ops);
-      if (in.has_value()) {
-        std::optional<vec::ProjectionProgram> program =
-            vec::compile_projection(node->projection, *in);
-        if (program.has_value()) {
-          ops->push_back("project -> vec");
-          return program->out_schema;
-        }
-      }
-      ops->push_back("project -> row path");
-      return std::nullopt;
-    }
-    case physical::POp::HashJoin: {
-      std::optional<vec::Schema> left = vec_walk(node->left, catalog, ops);
-      std::optional<vec::Schema> right =
-          vec_walk(node->right, catalog, ops);
-      bool ok = left.has_value() && right.has_value();
-      std::optional<vec::Schema> merged;
-      if (ok) {
-        merged = *left;
-        merged->columns.insert(merged->columns.end(),
-                               right->columns.begin(),
-                               right->columns.end());
-        ok = node->left_key.column(*left) >= 0 &&
-             node->right_key.column(*right) >= 0 &&
-             (node->predicate == nullptr ||
-              vec::compile_predicate(node->predicate, *merged).has_value());
-      }
-      if (ok) {
-        ops->push_back("hash join -> vec");
-        return merged;
-      }
-      ops->push_back("hash join -> row path");
-      return std::nullopt;
-    }
-    case physical::POp::NestedLoopJoin: {
-      vec_walk(node->left, catalog, ops);
-      vec_walk(node->right, catalog, ops);
-      ops->push_back("nested-loop join -> row path");
-      return std::nullopt;
-    }
-    case physical::POp::BindJoin: {
-      vec_walk(node->left, catalog, ops);
-      ops->push_back("bind join -> row path");
-      return std::nullopt;
-    }
-    case physical::POp::Union: {
-      std::optional<vec::Schema> merged;
-      bool ok = true;
-      bool first = true;
-      for (const physical::PhysicalPtr& child : node->children) {
-        std::optional<vec::Schema> part = vec_walk(child, catalog, ops);
-        if (!part.has_value()) {
-          ok = false;
-          continue;
-        }
-        if (first) {
-          merged = std::move(part);
-          first = false;
-        } else if (!merged.has_value() || !merged->same_layout(*part)) {
-          ok = false;
-        }
-      }
-      if (ok && merged.has_value()) {
-        ops->push_back("union -> vec (batch splice)");
-        return merged;
-      }
-      ops->push_back("union -> row path");
-      return std::nullopt;
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 Mediator::ExplainReport Mediator::explain_report(
@@ -823,10 +671,6 @@ Mediator::ExplainReport Mediator::explain_report(
     collect_submits(planned.plan, history_, result_cache_.get(),
                     &report.submits);
   }
-  report.vec = options_.vec.enabled;
-  if (report.vec && planned.plan != nullptr) {
-    vec_walk(planned.plan, snap->catalog, &report.vec_ops);
-  }
   return report;
 }
 
@@ -838,16 +682,9 @@ std::string Mediator::ExplainReport::to_string() const {
   }
   if (local_mode) {
     out += "mode: local evaluation\n";
-    if (vec) out += "vec: on (local aggregation when the bag is flat)\n";
     return out;
   }
   out += "plan: " + plan + "\n";
-  if (vec) {
-    out += "vec: on\n";
-    for (const std::string& op : vec_ops) {
-      out += "vec " + op + "\n";
-    }
-  }
   out += "plans considered: " + std::to_string(plans_considered) + "\n";
   out += "pruning: " + std::to_string(prune.extents_considered) + "/" +
          std::to_string(prune.extents_total) + " extents considered, " +

@@ -68,7 +68,6 @@
 #include "sched/scheduler.hpp"
 #include "session/health.hpp"
 #include "session/session.hpp"
-#include "vec/batch.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace disco {
@@ -130,16 +129,6 @@ class Mediator {
     /// resubmission. Virtual-time mode (workers == 0) never needs it:
     /// calls there are sequential by construction.
     sched::SchedOptions sched;
-    /// Columnar batch execution (src/vec/). Off by default — the
-    /// row-at-a-time path is the reference semantics. With vec.enabled,
-    /// flat answer bags convert to typed column batches at the exec/const
-    /// leaves and filter/project/hash-join/union/aggregate run batch-wise
-    /// (per-operator row fallback otherwise), the optimizer implements
-    /// batchable equi joins as hash joins, and explain_report() lists
-    /// which operators will run vectorized. Answers are bag-equal either
-    /// way and virtual-time determinism is preserved
-    /// (tests/test_vec_differential.cpp).
-    vec::VecOptions vec;
   };
 
   Mediator();
@@ -270,13 +259,6 @@ class Mediator {
     /// Auxiliary materialization plans: (name, plan text); closures are
     /// suffixed '*'.
     std::vector<std::pair<std::string, std::string>> aux;
-    /// Batch execution (Options::vec) is on for this mediator.
-    bool vec = false;
-    /// Which plan operators will run vectorized ("filter -> vec", "hash
-    /// join -> vec", ...) vs fall back ("nested-loop join -> row path"),
-    /// from a static walk of the chosen plan against the catalog's
-    /// interfaces. Empty when vec is off or the query runs in local mode.
-    std::vector<std::string> vec_ops;
 
     std::string to_string() const;
   };

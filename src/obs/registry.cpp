@@ -1,6 +1,5 @@
 #include "obs/registry.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -203,29 +202,6 @@ std::string RegistrySnapshot::to_json() const {
   }
   out << "}}";
   return out.str();
-}
-
-namespace {
-
-uint64_t now_ns() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-ScopedRate::ScopedRate(Registry* registry, const char* name)
-    : registry_(registry), name_(name) {
-  if (registry_ != nullptr) start_ns_ = now_ns();
-}
-
-ScopedRate::~ScopedRate() {
-  if (registry_ == nullptr) return;
-  const std::string prefix(name_);
-  registry_->counter(prefix + ".rows").add(rows_);
-  registry_->counter(prefix + ".ns").add(now_ns() - start_ns_);
 }
 
 }  // namespace disco::obs

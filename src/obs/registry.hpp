@@ -107,25 +107,4 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// Throughput recorder for one operator invocation: on destruction adds
-/// `<name>.rows` and `<name>.ns` counters (rows / wall nanoseconds, from
-/// which rows-per-second is `rows / (ns * 1e-9)`). Wall time is metrics
-/// only — it never feeds the virtual clock, so deterministic virtual-time
-/// runs stay deterministic. A null registry makes it a no-op.
-class ScopedRate {
- public:
-  ScopedRate(Registry* registry, const char* name);
-  ~ScopedRate();
-  ScopedRate(const ScopedRate&) = delete;
-  ScopedRate& operator=(const ScopedRate&) = delete;
-
-  void add_rows(uint64_t rows) { rows_ += rows; }
-
- private:
-  Registry* registry_;
-  const char* name_;
-  uint64_t rows_ = 0;
-  uint64_t start_ns_ = 0;
-};
-
 }  // namespace disco::obs

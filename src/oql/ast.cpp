@@ -1,5 +1,7 @@
 #include "oql/ast.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "oql/printer.hpp"
 
@@ -47,6 +49,12 @@ const char* to_string(BinaryOp op) {
   return "?";
 }
 
+namespace {
+
+uint32_t depth_of(const ExprPtr& e) { return e != nullptr ? e->depth : 0; }
+
+}  // namespace
+
 ExprPtr literal(Value v) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::Literal;
@@ -73,6 +81,7 @@ ExprPtr path(ExprPtr base, std::string field) {
   e->kind = ExprKind::Path;
   e->child = std::move(base);
   e->name = std::move(field);
+  e->depth = depth_of(e->child) + 1;
   return e;
 }
 
@@ -81,6 +90,7 @@ ExprPtr unary(UnaryOp op, ExprPtr operand) {
   e->kind = ExprKind::Unary;
   e->unary_op = op;
   e->child = std::move(operand);
+  e->depth = depth_of(e->child) + 1;
   return e;
 }
 
@@ -90,6 +100,7 @@ ExprPtr binary(BinaryOp op, ExprPtr left, ExprPtr right) {
   e->binary_op = op;
   e->left = std::move(left);
   e->right = std::move(right);
+  e->depth = std::max(depth_of(e->left), depth_of(e->right)) + 1;
   return e;
 }
 
@@ -98,6 +109,9 @@ ExprPtr call(std::string function, std::vector<ExprPtr> args) {
   e->kind = ExprKind::Call;
   e->name = std::move(function);
   e->args = std::move(args);
+  for (const ExprPtr& arg : e->args) {
+    e->depth = std::max(e->depth, depth_of(arg) + 1);
+  }
   return e;
 }
 
@@ -105,6 +119,9 @@ ExprPtr struct_ctor(std::vector<std::pair<std::string, ExprPtr>> fields) {
   auto e = std::make_shared<Expr>();
   e->kind = ExprKind::StructCtor;
   e->struct_fields = std::move(fields);
+  for (const auto& [name, value] : e->struct_fields) {
+    e->depth = std::max(e->depth, depth_of(value) + 1);
+  }
   return e;
 }
 
@@ -118,6 +135,10 @@ ExprPtr select(bool distinct, ExprPtr projection, std::vector<Binding> from,
   e->projection = std::move(projection);
   e->from = std::move(from);
   e->where = std::move(where);
+  e->depth = std::max(depth_of(e->projection), depth_of(e->where)) + 1;
+  for (const Binding& binding : e->from) {
+    e->depth = std::max(e->depth, depth_of(binding.domain) + 1);
+  }
   return e;
 }
 

@@ -58,6 +58,8 @@ struct Binding {
 
 struct Expr {
   ExprKind kind;
+  /// Levels of the tree rooted here (1 for a leaf); set by the factories.
+  uint32_t depth = 1;
 
   Value literal;                       // Literal
   std::string name;                    // Ident/ExtentClosure/Path field/Call fn

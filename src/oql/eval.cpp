@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "common/error.hpp"
 #include "oql/printer.hpp"
@@ -25,6 +26,34 @@ const Value& path_step(const Value& base, const std::string& name) {
   static const Value nil = Value::null();
   return nil;
 }
+
+namespace {
+
+// int64 arithmetic that throws instead of wrapping: signed overflow is
+// undefined behaviour, and INT64_MIN / -1 traps the process.
+[[noreturn]] void integer_overflow() {
+  throw ExecutionError("integer overflow");
+}
+
+int64_t checked_add(int64_t a, int64_t b) {
+  int64_t out;
+  if (__builtin_add_overflow(a, b, &out)) integer_overflow();
+  return out;
+}
+
+int64_t checked_sub(int64_t a, int64_t b) {
+  int64_t out;
+  if (__builtin_sub_overflow(a, b, &out)) integer_overflow();
+  return out;
+}
+
+int64_t checked_mul(int64_t a, int64_t b) {
+  int64_t out;
+  if (__builtin_mul_overflow(a, b, &out)) integer_overflow();
+  return out;
+}
+
+}  // namespace
 
 Value Evaluator::eval(const ExprPtr& expr, const Env& env) const {
   internal_check(expr != nullptr, "cannot evaluate a null expression");
@@ -60,7 +89,7 @@ Value Evaluator::eval(const Expr& expr, const Env& env) const {
         return Value::boolean(!operand.as_bool());
       }
       if (operand.kind() == ValueKind::Int) {
-        return Value::integer(-operand.as_int());
+        return Value::integer(checked_sub(0, operand.as_int()));
       }
       return Value::real(-operand.as_double());
     }
@@ -140,17 +169,25 @@ Value Evaluator::eval_binary(const Expr& expr, const Env& env) const {
       if (a.kind() == ValueKind::String && b.kind() == ValueKind::String) {
         return Value::string(a.as_string() + b.as_string());
       }
-      if (both_int(a, b)) return Value::integer(a.as_int() + b.as_int());
+      if (both_int(a, b)) {
+        return Value::integer(checked_add(a.as_int(), b.as_int()));
+      }
       return Value::real(a.as_double() + b.as_double());
     case BinaryOp::Sub:
-      if (both_int(a, b)) return Value::integer(a.as_int() - b.as_int());
+      if (both_int(a, b)) {
+        return Value::integer(checked_sub(a.as_int(), b.as_int()));
+      }
       return Value::real(a.as_double() - b.as_double());
     case BinaryOp::Mul:
-      if (both_int(a, b)) return Value::integer(a.as_int() * b.as_int());
+      if (both_int(a, b)) {
+        return Value::integer(checked_mul(a.as_int(), b.as_int()));
+      }
       return Value::real(a.as_double() * b.as_double());
     case BinaryOp::Div:
       if (both_int(a, b)) {
         if (b.as_int() == 0) throw ExecutionError("integer division by zero");
+        // a / -1 is -a; INT64_MIN / -1 overflows (and traps the CPU).
+        if (b.as_int() == -1) return Value::integer(checked_sub(0, a.as_int()));
         return Value::integer(a.as_int() / b.as_int());
       }
       return Value::real(a.as_double() / b.as_double());
@@ -159,6 +196,14 @@ Value Evaluator::eval_binary(const Expr& expr, const Env& env) const {
         throw ExecutionError("mod expects integer operands");
       }
       if (b.as_int() == 0) throw ExecutionError("mod by zero");
+      // INT64_MIN mod -1 traps as INT64_MIN / -1 does, whose quotient
+      // does not fit; every other x mod -1 is 0.
+      if (b.as_int() == -1) {
+        if (a.as_int() == std::numeric_limits<int64_t>::min()) {
+          integer_overflow();
+        }
+        return Value::integer(0);
+      }
       return Value::integer(a.as_int() % b.as_int());
     }
     default:
@@ -222,7 +267,7 @@ Value Evaluator::eval_call(const Expr& expr, const Env& env) const {
   if (fn == "abs") {
     if (arg.kind() == ValueKind::Int) {
       int64_t v = arg.as_int();
-      return Value::integer(v < 0 ? -v : v);
+      return Value::integer(v < 0 ? checked_sub(0, v) : v);
     }
     return Value::real(std::fabs(arg.as_double()));
   }
@@ -243,14 +288,21 @@ Value Evaluator::eval_call(const Expr& expr, const Env& env) const {
     }
     bool all_int = true;
     double total = 0;
-    int64_t int_total = 0;
+    // Exact whatever the order of the items: only the total must fit.
+    __int128 int_total = 0;
     for (const Value& item : items) {
       if (item.kind() != ValueKind::Int) all_int = false;
       total += item.as_double();
       if (item.kind() == ValueKind::Int) int_total += item.as_int();
     }
     if (fn == "sum") {
-      return all_int ? Value::integer(int_total) : Value::real(total);
+      // Only an all-Int sum answers an Int; a mixed one is the real total.
+      if (!all_int) return Value::real(total);
+      if (int_total < std::numeric_limits<int64_t>::min() ||
+          int_total > std::numeric_limits<int64_t>::max()) {
+        integer_overflow();
+      }
+      return Value::integer(static_cast<int64_t>(int_total));
     }
     return Value::real(total / static_cast<double>(items.size()));
   }

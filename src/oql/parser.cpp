@@ -1,6 +1,7 @@
 #include "oql/parser.hpp"
 
 #include <charconv>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -21,6 +22,32 @@ class Parser {
   ExprPtr expression() { return or_expr(); }
 
  private:
+  /// One level of grammar recursion that builds no node before it
+  /// descends: a parenthesis, a prefix operator, a nested clause.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (parser_.nesting_ == kMaxDepth) parser_.too_deep();
+      ++parser_.nesting_;
+    }
+    ~Nest() { --parser_.nesting_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  [[noreturn]] void too_deep() const {
+    fail("expression nests deeper than " + std::to_string(kMaxDepth) +
+         " levels");
+  }
+  /// `expr`, unless it is deeper than kMaxDepth.
+  ExprPtr bounded(ExprPtr expr) const {
+    if (expr->depth > kMaxDepth) too_deep();
+    return expr;
+  }
+
   const Token& peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -63,9 +90,10 @@ class Parser {
   }
 
   ExprPtr or_expr() {
+    Nest nest(*this);
     ExprPtr left = and_expr();
     while (match_keyword("or")) {
-      left = binary(BinaryOp::Or, left, and_expr());
+      left = bounded(binary(BinaryOp::Or, left, and_expr()));
     }
     return left;
   }
@@ -73,14 +101,15 @@ class Parser {
   ExprPtr and_expr() {
     ExprPtr left = not_expr();
     while (match_keyword("and")) {
-      left = binary(BinaryOp::And, left, not_expr());
+      left = bounded(binary(BinaryOp::And, left, not_expr()));
     }
     return left;
   }
 
   ExprPtr not_expr() {
     if (match_keyword("not")) {
-      return unary(UnaryOp::Not, not_expr());
+      Nest nest(*this);
+      return bounded(unary(UnaryOp::Not, not_expr()));
     }
     return comparison();
   }
@@ -111,16 +140,16 @@ class Parser {
         return left;
     }
     advance();
-    return binary(op, left, additive());
+    return bounded(binary(op, left, additive()));
   }
 
   ExprPtr additive() {
     ExprPtr left = multiplicative();
     while (true) {
       if (match(TokenKind::Plus)) {
-        left = binary(BinaryOp::Add, left, multiplicative());
+        left = bounded(binary(BinaryOp::Add, left, multiplicative()));
       } else if (match(TokenKind::Minus)) {
-        left = binary(BinaryOp::Sub, left, multiplicative());
+        left = bounded(binary(BinaryOp::Sub, left, multiplicative()));
       } else {
         return left;
       }
@@ -131,11 +160,11 @@ class Parser {
     ExprPtr left = unary_expr();
     while (true) {
       if (match(TokenKind::Star)) {
-        left = binary(BinaryOp::Mul, left, unary_expr());
+        left = bounded(binary(BinaryOp::Mul, left, unary_expr()));
       } else if (match(TokenKind::Slash)) {
-        left = binary(BinaryOp::Div, left, unary_expr());
+        left = bounded(binary(BinaryOp::Div, left, unary_expr()));
       } else if (match_keyword("mod")) {
-        left = binary(BinaryOp::Mod, left, unary_expr());
+        left = bounded(binary(BinaryOp::Mod, left, unary_expr()));
       } else {
         return left;
       }
@@ -144,7 +173,8 @@ class Parser {
 
   ExprPtr unary_expr() {
     if (match(TokenKind::Minus)) {
-      return unary(UnaryOp::Neg, unary_expr());
+      Nest nest(*this);
+      return bounded(unary(UnaryOp::Neg, unary_expr()));
     }
     return postfix();
   }
@@ -153,7 +183,7 @@ class Parser {
     ExprPtr expr = primary();
     while (match(TokenKind::Dot)) {
       const Token& field = expect(TokenKind::Ident, "field name after '.'");
-      expr = path(expr, field.text);
+      expr = bounded(path(expr, field.text));
     }
     return expr;
   }
@@ -225,7 +255,7 @@ class Parser {
       }
       expect(TokenKind::RParen, "')'");
       validate_call(function, args.size(), t);
-      return call(std::move(function), std::move(args));
+      return bounded(call(std::move(function), std::move(args)));
     }
     advance();
     return ident(t.text);
@@ -269,7 +299,7 @@ class Parser {
       } while (match(TokenKind::Comma));
     }
     expect(TokenKind::RParen, "')'");
-    return struct_ctor(std::move(fields));
+    return bounded(struct_ctor(std::move(fields)));
   }
 
   ExprPtr select_expression() {
@@ -302,7 +332,7 @@ class Parser {
     if (match_keyword("where")) {
       where = expression();
     }
-    return select(distinct, projection, std::move(from), where);
+    return bounded(select(distinct, projection, std::move(from), where));
   }
 
   /// Domains stop at the select-clause keywords so that
@@ -312,6 +342,7 @@ class Parser {
 
   const std::vector<Token>& tokens_;
   size_t& pos_;
+  uint32_t nesting_ = 0;  ///< levels of Nest open around the cursor
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "oql/eval.hpp"
 #include "oql/printer.hpp"
-#include "vec/batch.hpp"
 
 namespace disco::physical {
 
@@ -52,10 +51,6 @@ const Value& EquiKey::read(const Value& env) const {
   const Value* value = &env.field(var);
   for (const std::string& step : steps) value = &oql::path_step(*value, step);
   return *value;
-}
-
-int EquiKey::column(const vec::Schema& schema) const {
-  return steps.size() == 1 ? schema.index_of(var, steps.front()) : -1;
 }
 
 namespace {

@@ -23,10 +23,6 @@
 
 #include "algebra/logical.hpp"
 
-namespace disco::vec {
-struct Schema;
-}
-
 namespace disco::physical {
 
 enum class POp {
@@ -64,10 +60,6 @@ struct EquiKey {
   /// missing field reads as nil, a step over a non-struct value throws
   /// ExecutionError.
   const Value& read(const Value& env) const;
-  /// The key's column in an env batch: the (var, attr) column of a
-  /// one-step key, or -1 when the batch holds no such column (the join
-  /// then runs on rows).
-  int column(const vec::Schema& schema) const;
 };
 
 struct Physical;

@@ -100,35 +100,6 @@ Runtime::Runtime(ExecContext context)
                  "runtime needs a wrapper resolver");
 }
 
-void Runtime::ensure_rows(Outcome* out) {
-  if (!out->batch.has_value()) return;
-  std::vector<Value> rows = vec::to_rows(*out->batch);
-  out->batch.reset();
-  if (out->data.empty()) {
-    out->data = std::move(rows);
-  } else {
-    out->data.insert(out->data.end(), std::make_move_iterator(rows.begin()),
-                     std::make_move_iterator(rows.end()));
-  }
-}
-
-Runtime::Outcome Runtime::make_leaf_outcome(const std::vector<Value>& rows) {
-  Outcome out;
-  if (context_.vec.enabled) {
-    std::optional<vec::Table> table =
-        vec::from_rows(rows, context_.vec.batch_rows);
-    if (table.has_value()) {
-      stats_.vec_batches += table->batches.size();
-      stats_.vec_rows += table->rows();
-      out.batch = std::move(table);
-      return out;
-    }
-    ++stats_.vec_fallbacks;
-  }
-  out.data = rows;
-  return out;
-}
-
 RunResult Runtime::run(const PhysicalPtr& plan) {
   internal_check(plan != nullptr, "cannot run a null plan");
   stats_ = RunStats{};
@@ -168,7 +139,6 @@ RunResult Runtime::run(const PhysicalPtr& plan) {
   context_.clock->advance(elapsed);
   stats_.elapsed_s = elapsed;
 
-  ensure_rows(&outcome);
   RunResult result;
   result.data = Value::bag(std::move(outcome.data));
   result.residuals = std::move(outcome.residuals);
@@ -218,28 +188,12 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
     case POp::Exec:
       return eval_exec(*node);
     case POp::Const:
-      return make_leaf_outcome(node->data.items());
+      return Outcome{node->data.items(), {}};
     case POp::Filter: {
       Outcome in = eval(node->child);
       Outcome out;
-      if (in.batch.has_value()) {
-        std::optional<vec::PredicateProgram> program =
-            vec::compile_predicate(node->predicate, in.batch->schema);
-        if (program.has_value()) {
-          obs::ScopedRate rate(context_.metrics, "vec.filter");
-          rate.add_rows(in.batch->rows());
-          stats_.vec_rows += in.batch->rows();
-          out.batch = vec::filter_table(*in.batch, *program);
-          stats_.vec_batches += out.batch->batches.size();
-        } else {
-          ++stats_.vec_fallbacks;
-          ensure_rows(&in);
-        }
-      }
-      if (!in.batch.has_value()) {
-        for (const Value& env : in.data) {
-          if (holds(node->predicate, env)) out.data.push_back(env);
-        }
+      for (const Value& env : in.data) {
+        if (holds(node->predicate, env)) out.data.push_back(env);
       }
       // filter(union(d, r)) = union(filter(d), filter(r)).
       for (const algebra::LogicalPtr& residual : in.residuals) {
@@ -251,37 +205,14 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
     case POp::Project: {
       Outcome in = eval(node->child);
       Outcome out;
-      if (in.batch.has_value()) {
-        std::optional<vec::ProjectionProgram> program =
-            vec::compile_projection(node->projection, in.batch->schema);
-        if (program.has_value()) {
-          obs::ScopedRate rate(context_.metrics, "vec.project");
-          rate.add_rows(in.batch->rows());
-          stats_.vec_rows += in.batch->rows();
-          vec::Table projected = vec::project_table(*in.batch, *program);
-          if (node->distinct) {
-            // First-seen dedup; the row path's Value::set sorts instead.
-            // Same multiset either way, which is all bag answers expose.
-            projected =
-                vec::distinct_table(projected, context_.vec.batch_rows);
-          }
-          stats_.vec_batches += projected.batches.size();
-          out.batch = std::move(projected);
-        } else {
-          ++stats_.vec_fallbacks;
-          ensure_rows(&in);
-        }
+      out.data.reserve(in.data.size());
+      for (const Value& env : in.data) {
+        oql::Env scope;
+        for (const auto& [var, row] : env.fields()) scope.bind(var, row);
+        out.data.push_back(evaluator_.eval(node->projection, scope));
       }
-      if (!in.batch.has_value()) {
-        out.data.reserve(in.data.size());
-        for (const Value& env : in.data) {
-          oql::Env scope;
-          for (const auto& [var, row] : env.fields()) scope.bind(var, row);
-          out.data.push_back(evaluator_.eval(node->projection, scope));
-        }
-        if (node->distinct) {
-          out.data = Value::set(std::move(out.data)).items();
-        }
+      if (node->distinct) {
+        out.data = Value::set(std::move(out.data)).items();
       }
       for (const algebra::LogicalPtr& residual : in.residuals) {
         out.residuals.push_back(
@@ -300,26 +231,6 @@ Runtime::Outcome Runtime::eval(const PhysicalPtr& node) {
         Outcome part = eval(child);
         out.residuals.insert(out.residuals.end(), part.residuals.begin(),
                              part.residuals.end());
-        // Batch-wise union merge: splice the part's batches onto the
-        // accumulated table (O(#batches), no row copies) while every
-        // part stays columnar with one layout; first mismatch falls the
-        // whole union back to row concatenation.
-        if (part.batch.has_value() && out.data.empty()) {
-          if (!out.batch.has_value()) {
-            out.batch = std::move(part.batch);
-            continue;
-          } else {
-            obs::ScopedRate rate(context_.metrics, "vec.union");
-            rate.add_rows(part.batch->rows());
-            stats_.vec_rows += part.batch->rows();
-            if (vec::concat_tables(&*out.batch, std::move(*part.batch))) {
-              continue;
-            }
-            ++stats_.vec_fallbacks;
-          }
-        }
-        ensure_rows(&out);
-        ensure_rows(&part);
         out.data.insert(out.data.end(),
                         std::make_move_iterator(part.data.begin()),
                         std::make_move_iterator(part.data.end()));
@@ -603,7 +514,7 @@ Runtime::Outcome Runtime::settle(const SourceCall& call) {
       }
       stats_.rows_fetched += call.rows();
       max_latency_ = std::max(max_latency_, call.latency_s);
-      return make_leaf_outcome(call.reply.data.items());
+      return Outcome{call.reply.data.items(), {}};
     case SourceCall::Outcome::ShortCircuit:
       // No any_blocked_: the query does not pay the §4 deadline wait for
       // a source already known to be down.
@@ -703,40 +614,6 @@ Runtime::Outcome Runtime::eval_join(const Physical& node) {
     out.residuals.push_back(node.logical);
     return out;
   }
-
-  if (node.op == POp::HashJoin && left.batch.has_value() &&
-      right.batch.has_value() &&
-      left.batch->schema.shape == vec::RowShape::Env &&
-      right.batch->schema.shape == vec::RowShape::Env) {
-    const int left_col = node.left_key.column(left.batch->schema);
-    const int right_col = node.right_key.column(right.batch->schema);
-    bool vec_ok = left_col >= 0 && right_col >= 0;
-    std::optional<vec::PredicateProgram> residual_program;
-    if (vec_ok && node.predicate != nullptr) {
-      vec::Schema merged;
-      merged.shape = vec::RowShape::Env;
-      merged.columns = left.batch->schema.columns;
-      merged.columns.insert(merged.columns.end(),
-                            right.batch->schema.columns.begin(),
-                            right.batch->schema.columns.end());
-      residual_program = vec::compile_predicate(node.predicate, merged);
-      vec_ok = residual_program.has_value();
-    }
-    if (vec_ok) {
-      obs::ScopedRate rate(context_.metrics, "vec.hashjoin");
-      rate.add_rows(left.batch->rows() + right.batch->rows());
-      stats_.vec_rows += left.batch->rows() + right.batch->rows();
-      out.batch = vec::hash_join_tables(
-          *left.batch, *right.batch, left_col, right_col,
-          residual_program.has_value() ? &*residual_program : nullptr,
-          context_.vec.batch_rows);
-      stats_.vec_batches += out.batch->batches.size();
-      return out;
-    }
-    ++stats_.vec_fallbacks;
-  }
-  ensure_rows(&left);
-  ensure_rows(&right);
   out.data = node.op == POp::HashJoin
                  ? hash_join(node, left.data, right.data)
                  : nested_loop(node.predicate, left.data, right.data);
@@ -750,9 +627,6 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
     out.residuals.push_back(node.logical);
     return out;
   }
-  // The bind join extracts build-side keys and probes row-wise; its
-  // probe-side fetch is the dominant cost, so it stays on the row path.
-  ensure_rows(&left);
   if (left.data.empty()) {
     return out;  // join over an empty build side is empty
   }
@@ -830,7 +704,6 @@ Runtime::Outcome Runtime::eval_bind_join(const Physical& node) {
     out.residuals.push_back(node.logical);
     return out;
   }
-  ensure_rows(&right);
   // The bind filter narrowed the probe side, but per-tuple matching
   // still applies.
   out.data = hash_join(node, left.data, right.data);

@@ -56,7 +56,6 @@
 #include <functional>
 #include <future>
 #include <limits>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,13 +65,10 @@
 #include "catalog/catalog.hpp"
 #include "exec/dispatcher.hpp"
 #include "net/network.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "oql/eval.hpp"
 #include "physical/plan.hpp"
 #include "sched/scheduler.hpp"
-#include "vec/batch.hpp"
-#include "vec/ops.hpp"
 #include "wrapper/wrapper.hpp"
 
 namespace disco::physical {
@@ -170,18 +166,6 @@ struct ExecContext {
   /// circuit refusals record "cache_hit", "shed" and "short_circuit"
   /// instants. Default-off: one pointer check per site.
   obs::ObsContext obs;
-  /// Columnar batch execution (src/vec/). Off by default: operators stay
-  /// row-at-a-time. When enabled, exec/const leaves convert flat answer
-  /// bags to column batches and filter/project/hash-join/union run
-  /// batch-wise, falling back per operator whenever the data or the
-  /// expression is outside the vectorizable subset. Purely an execution-
-  /// strategy switch — answers are bag-equal either way (enforced by
-  /// tests/test_vec_differential.cpp), and virtual-time accounting is
-  /// untouched.
-  vec::VecOptions vec;
-  /// Per-operator rows/sec counters ("vec.filter.rows", "vec.filter.ns",
-  /// ...); null disables recording.
-  obs::Registry* metrics = nullptr;
 };
 
 struct RunStats {
@@ -196,9 +180,6 @@ struct RunStats {
   size_t shed_calls = 0;  ///< subset of unavailable: shed by the scheduler
                           ///< (queue full / queue deadline / drain) and
                           ///< converted to §4 residuals
-  size_t vec_batches = 0;    ///< column batches produced by vec operators
-  size_t vec_rows = 0;       ///< rows that flowed through vec operators
-  size_t vec_fallbacks = 0;  ///< vec-eligible sites that fell back to rows
   double elapsed_s = 0;  ///< virtual (or wall, in wall-clock mode) time
 
   /// Accumulation across runs (aux materialization, resubmissions).
@@ -211,9 +192,6 @@ struct RunStats {
     cache_hits += other.cache_hits;
     cache_coalesced += other.cache_coalesced;
     shed_calls += other.shed_calls;
-    vec_batches += other.vec_batches;
-    vec_rows += other.vec_rows;
-    vec_fallbacks += other.vec_fallbacks;
     elapsed_s += other.elapsed_s;
     return *this;
   }
@@ -239,10 +217,6 @@ class Runtime {
  private:
   struct Outcome {
     std::vector<Value> data;  ///< env structs or projected values
-    /// Columnar form of the data (vec mode). When set, `data` is empty
-    /// and the rows live here; ensure_rows() converts back on demand
-    /// (operator fallback, final answer).
-    std::optional<vec::Table> batch;
     std::vector<algebra::LogicalPtr> residuals;
   };
 
@@ -264,12 +238,6 @@ class Runtime {
                                  const std::vector<Value>& right) const;
   /// `predicate` (null: true) over one env row struct(var: row, ...).
   bool holds(const oql::ExprPtr& predicate, const Value& env) const;
-  /// Collapses an Outcome's columnar form back to rows (no-op without
-  /// one). Called on operator fallback and before the final answer.
-  void ensure_rows(Outcome* out);
-  /// Leaf conversion: rows -> batches when vec is on and the bag is flat;
-  /// otherwise keeps the rows (counting the fallback when vec is on).
-  Outcome make_leaf_outcome(const std::vector<Value>& rows);
   /// A source call between its stages: the record plus the exec span,
   /// the cache leader's ticket and the scheduler token it holds until
   /// it lands.

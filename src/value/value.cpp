@@ -203,7 +203,12 @@ int kind_rank(ValueKind kind) {
   return 8;
 }
 
-}  // namespace
+/// Value::compare's order on unboxed numbers, -1 / 0 / +1. Exact: an
+/// Int is never rounded through double, and an Int meets a Double by
+/// the numbers they denote.
+int compare_numbers(int64_t a, int64_t b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
 
 /// NaN ordering rule: IEEE NaN compares unordered against everything,
 /// which would make this function return 0 for NaN vs *any* number and
@@ -240,6 +245,10 @@ int compare_numbers(int64_t a, double b) {
   if (whole > b) return 1;
   return 0;
 }
+
+int compare_numbers(double a, int64_t b) { return -compare_numbers(b, a); }
+
+}  // namespace
 
 int Value::compare(const Value& a, const Value& b) {
   // Integer keys are the hot case (index probes, equi-joins on ids).

@@ -78,8 +78,9 @@ class Value {
 
   /// Total order over all values (kind-major, then content). Used to
   /// normalize sets and to give deterministic printing of bags in tests.
-  /// Numbers compare exactly (compare_numbers below), so distinct
-  /// integers beyond 2^53 stay distinct while Int 1 == Double 1.0.
+  /// Numbers compare exactly (an Int is never rounded through double),
+  /// so distinct integers beyond 2^53 stay distinct while Int 1 ==
+  /// Double 1.0.
   /// NaN has a stable position in the order: NaN == NaN, and NaN sorts
   /// after every other number (+inf included) — IEEE unordered semantics
   /// would corrupt every index and dedup structure built on this order.
@@ -130,19 +131,6 @@ class Value {
 
   Payload payload_;
 };
-
-/// Value::compare's order on unboxed numbers, -1 / 0 / +1. Exact: an
-/// Int is never rounded through double, and an Int meets a Double by
-/// the numbers they denote. NaN == NaN and sorts after every number.
-/// The batch kernels (src/vec) use these so both paths order alike.
-inline int compare_numbers(int64_t a, int64_t b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-int compare_numbers(int64_t a, double b);
-inline int compare_numbers(double a, int64_t b) {
-  return -compare_numbers(b, a);
-}
-int compare_numbers(double a, double b);
 
 /// Convenience: bag of structs from parallel (names, rows) — used by data
 /// sources when reformatting answers for the mediator.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
 #include "oql/ast.hpp"
 #include "oql/eval.hpp"
@@ -202,6 +207,71 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse("union(1)"), ParseError);
 }
 
+std::string repeat(const std::string& unit, size_t count) {
+  std::string out;
+  out.reserve(unit.size() * count);
+  for (size_t i = 0; i < count; ++i) out += unit;
+  return out;
+}
+
+/// `term op term op ... term`, `terms` terms: a tree `terms` levels deep.
+std::string chain(const std::string& term, const std::string& op,
+                  size_t terms) {
+  return repeat(term + " " + op + " ", terms - 1) + term;
+}
+
+TEST(Parser, DepthBoundCountsNesting) {
+  // Parentheses and prefix operators recurse before they build a node;
+  // each level counts, and the whole expression is one more.
+  const size_t levels = kMaxDepth - 1;
+  EXPECT_NO_THROW(parse(repeat("(", levels) + "1" + repeat(")", levels)));
+  EXPECT_THROW(parse(repeat("(", levels + 1) + "1" + repeat(")", levels + 1)),
+               ParseError);
+  EXPECT_EQ(parse(repeat("not ", levels) + "true")->depth, kMaxDepth);
+  EXPECT_THROW(parse(repeat("not ", levels + 1) + "true"), ParseError);
+  EXPECT_EQ(parse(repeat("- ", levels) + "1")->depth, kMaxDepth);
+  EXPECT_THROW(parse(repeat("- ", levels + 1) + "1"), ParseError);
+  EXPECT_EQ(parse(repeat("bag(", levels) + "1" + repeat(")", levels))->depth,
+            kMaxDepth);
+  EXPECT_THROW(
+      parse(repeat("bag(", levels + 1) + "1" + repeat(")", levels + 1)),
+      ParseError);
+}
+
+TEST(Parser, DepthBoundCountsOperatorChains) {
+  for (const char* op : {"or", "and"}) {
+    EXPECT_EQ(parse(chain("true", op, kMaxDepth))->depth, kMaxDepth) << op;
+    EXPECT_THROW(parse(chain("true", op, kMaxDepth + 1)), ParseError) << op;
+  }
+  for (const char* op : {"+", "-", "*", "/", "mod"}) {
+    EXPECT_EQ(parse(chain("7", op, kMaxDepth))->depth, kMaxDepth) << op;
+    EXPECT_THROW(parse(chain("7", op, kMaxDepth + 1)), ParseError) << op;
+  }
+  EXPECT_EQ(parse("x" + repeat(".a", kMaxDepth - 1))->depth, kMaxDepth);
+  EXPECT_THROW(parse("x" + repeat(".a", kMaxDepth)), ParseError);
+  // A deep first term counts with the chain built on top of it.
+  const size_t half = kMaxDepth / 2;
+  const std::string deep = "(" + chain("1", "+", half) + ") = 1";
+  EXPECT_EQ(parse(deep + repeat(" or true", kMaxDepth - half - 1))->depth,
+            kMaxDepth);
+  EXPECT_THROW(parse(deep + repeat(" or true", kMaxDepth - half)), ParseError);
+}
+
+TEST(Parser, InputsThatOverflowedTheStackAreParseErrors) {
+  EXPECT_THROW(parse(repeat("(", 20000) + "1" + repeat(")", 20000)),
+               ParseError);
+  EXPECT_THROW(parse(repeat("not ", 100000) + "true"), ParseError);
+  EXPECT_THROW(parse(repeat("- ", 100000) + "1"), ParseError);
+  EXPECT_THROW(parse(chain("true", "or", 20000)), ParseError);
+  try {
+    parse(chain("true", "or", 20000));
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nests deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------------- analysis ---
 
 TEST(Ast, FreeNamesBasics) {
@@ -326,6 +396,53 @@ TEST_F(EvalFixture, DivisionByZero) {
   EXPECT_THROW(run("1 mod 0"), ExecutionError);
 }
 
+TEST_F(EvalFixture, IntegerArithmeticAtTheInt64Edges) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  // Up to the edges, exact.
+  EXPECT_EQ(run("9223372036854775806 + 1"), Value::integer(kMax));
+  EXPECT_EQ(run("-9223372036854775807 - 1"), Value::integer(kMin));
+  EXPECT_EQ(run("-4611686018427387904 * 2"), Value::integer(kMin));
+  EXPECT_EQ(run("9223372036854775807 / -1"), Value::integer(-kMax));
+  EXPECT_EQ(run("(-9223372036854775807 - 1) / 1"), Value::integer(kMin));
+  EXPECT_EQ(run("9223372036854775807 mod -1"), Value::integer(0));
+  EXPECT_EQ(run("-(-9223372036854775807)"), Value::integer(kMax));
+  EXPECT_EQ(run("abs(-9223372036854775807)"), Value::integer(kMax));
+  EXPECT_EQ(run("sum(bag(9223372036854775806, 1))"), Value::integer(kMax));
+  // One past: a typed error, never a wrapped value or a trap.
+  for (const char* text : {
+           "9223372036854775807 + 1",
+           "(-9223372036854775807 - 1) - 1",
+           "4611686018427387904 * 2",
+           "(-9223372036854775807 - 1) * -1",
+           "(-9223372036854775807 - 1) / -1",
+           "(-9223372036854775807 - 1) mod -1",
+           "-(-9223372036854775807 - 1)",
+           "abs(-9223372036854775807 - 1)",
+           "sum(bag(9223372036854775807, 1))",
+           "sum(bag(-9223372036854775807, -2))",
+       }) {
+    try {
+      run(text);
+      ADD_FAILURE() << text << " did not throw";
+    } catch (const ExecutionError& e) {
+      EXPECT_NE(std::string(e.what()).find("integer overflow"),
+                std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+  // A sum is exact whatever the order of its items: only the total must
+  // fit. One over Int and Double items is the real total.
+  EXPECT_EQ(run("sum(bag(9223372036854775807, 1, -1))"), Value::integer(kMax));
+  EXPECT_EQ(run("sum(bag(9223372036854775807, 9223372036854775807, 0.5))"),
+            Value::real(18446744073709551616.0));
+  // Double arithmetic is unchanged.
+  EXPECT_EQ(run("9223372036854775807.0 * 2"),
+            Value::real(18446744073709551616.0));
+  EXPECT_EQ(run("-(9223372036854775807 + 1.0)"),
+            Value::real(-9223372036854775808.0));
+}
+
 TEST_F(EvalFixture, Comparisons) {
   EXPECT_EQ(run("1 < 2"), Value::boolean(true));
   EXPECT_EQ(run("2 <= 2"), Value::boolean(true));
@@ -345,6 +462,33 @@ TEST_F(EvalFixture, IntegersBeyondTwoTo53StayDistinct) {
             2u);
   EXPECT_EQ(run("9007199254740993 > 9007199254740992"),
             Value::boolean(true));
+}
+
+TEST_F(EvalFixture, OrderingANilThrows) {
+  try {
+    run("nil > \"s\"");
+    ADD_FAILURE() << "ordering nil against a string did not throw";
+  } catch (const ExecutionError& e) {
+    EXPECT_NE(std::string(e.what()).find("cannot order null against string"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(run("nil = nil"), Value::boolean(true));
+  EXPECT_EQ(run("nil != 1"), Value::boolean(true));
+}
+
+TEST_F(EvalFixture, NaNSortsAfterEveryNumberInPredicates) {
+  resolver_.bind("nums", Value::bag({Value::real(std::nan("")),
+                                     Value::real(1.5),
+                                     Value::real(9007199254740992.0)}));
+  EXPECT_EQ(run("count(select x from x in nums where x = 1.5)"),
+            Value::integer(1));
+  EXPECT_EQ(run("count(select x from x in nums where x > 1.5)"),
+            Value::integer(2));
+  EXPECT_EQ(run("count(select x from x in nums where x != 1.5)"),
+            Value::integer(2));
+  EXPECT_EQ(run("count(select x from x in nums where x < 9007199254740993)"),
+            Value::integer(2));
 }
 
 TEST_F(EvalFixture, BooleanShortCircuit) {
@@ -383,6 +527,23 @@ TEST_F(EvalFixture, Aggregates) {
   EXPECT_EQ(run("exists(bag())"), Value::boolean(false));
   EXPECT_EQ(run("abs(-4)"), Value::integer(4));
   EXPECT_EQ(run("abs(-4.5)"), Value::real(4.5));
+}
+
+TEST_F(EvalFixture, AggregateEdges) {
+  EXPECT_EQ(run("count(bag())"), Value::integer(0));
+  EXPECT_EQ(run("avg(bag())"), Value::real(0.0));
+  EXPECT_THROW(run("max(bag())"), ExecutionError);
+  // min/max order by Value::compare: nil ranks lowest.
+  EXPECT_EQ(run("min(bag(\"b\", nil, \"a\"))"), Value::null());
+  EXPECT_EQ(run("max(bag(\"b\", nil, \"a\"))"), Value::string("b"));
+  // sum and avg need numbers.
+  EXPECT_THROW(run("sum(bag(1, nil))"), ExecutionError);
+  EXPECT_THROW(run("avg(bag(\"a\"))"), ExecutionError);
+  // An all-Int sum stays Int; avg is real even then.
+  EXPECT_EQ(run("sum(bag(2, 3))").kind(), ValueKind::Int);
+  const Value avg = run("avg(bag(2, 3))");
+  EXPECT_EQ(avg.kind(), ValueKind::Double);
+  EXPECT_EQ(avg, Value::real(2.5));
 }
 
 TEST_F(EvalFixture, AggregateOverSubquery) {

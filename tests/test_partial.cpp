@@ -334,5 +334,48 @@ TEST(PartialEval, StatsCountUnavailableCalls) {
   EXPECT_EQ(a.stats().run.unavailable_calls, 1u);
 }
 
+TEST(PartialEval, QueriesJustUnderTheDepthBoundRunAndResubmit) {
+  // A few levels under oql::kMaxDepth, each query passes typecheck, the
+  // optimizer, wrapper translation (MiniSQL), evaluation and to_oql; its
+  // partial answer, one level deeper, parses and completes.
+  auto repeat = [](const std::string& unit, size_t count) {
+    std::string out;
+    for (size_t i = 0; i < count; ++i) out += unit;
+    return out;
+  };
+  const size_t n = oql::kMaxDepth - 8;
+  const std::vector<std::string> queries = {
+      // A pushed-down `or` chain.
+      "select x.name from x in person where " +
+          repeat("x.salary = 7 or ", n - 2) + "x.salary = 200 or " +
+          "x.salary = 50",
+      // Right-nested arithmetic, evaluated in the mediator.
+      "select x.name from x in person where x.salary" +
+          repeat(" + (1", n - 2) + " + 0" + repeat(")", n - 2) + " > 0",
+      // Prefix chains.
+      "select x.name from x in person where " + repeat("not ", n - 4) +
+          "(x.salary > 10)",
+      "select " + repeat("- ", n - 4) + "x.salary from x in person",
+  };
+  for (const std::string& query : queries) {
+    const std::string head = query.substr(0, 60);
+    PaperWorld world;
+    Answer all = world.mediator.query(query);
+    ASSERT_TRUE(all.complete()) << head;
+    ASSERT_EQ(all.data().size(), 2u) << head;
+    EXPECT_NO_THROW(oql::parse(all.to_oql())) << head;
+
+    world.mediator.network().set_availability(
+        "r0", net::Availability::always_down());
+    Answer partial = world.mediator.query(query);
+    ASSERT_FALSE(partial.complete()) << head;
+    world.mediator.network().set_availability(
+        "r0", net::Availability::always_up());
+    Answer resubmitted = world.mediator.query(partial.to_oql());
+    ASSERT_TRUE(resubmitted.complete()) << head;
+    EXPECT_EQ(resubmitted.data(), all.data()) << head;
+  }
+}
+
 }  // namespace
 }  // namespace disco

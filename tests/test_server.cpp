@@ -448,6 +448,54 @@ TEST(ServerTest, FailedSessionPushesQueryFailed) {
             std::string::npos);
 }
 
+TEST(ServerTest, QueriesThatCrashedTheDaemonEndInTypedFailures) {
+  ServerWorld world;
+  auto repeat = [](const std::string& unit, size_t count) {
+    std::string out;
+    for (size_t i = 0; i < count; ++i) out += unit;
+    return out;
+  };
+  // int64 overflow (INT64_MIN / -1 trapped with SIGFPE) and nesting that
+  // overflowed the parser's or a later stage's stack.
+  const std::vector<std::string> texts = {
+      "(-9223372036854775807 - 1) / -1",
+      "(-9223372036854775807 - 1) mod -1",
+      "9223372036854775807 + 1",
+      repeat("(", 20000) + "1" + repeat(")", 20000),
+      repeat("not ", 100000) + "true",
+      repeat("- ", 100000) + "1",
+      repeat("true or ", 19999) + "true",
+  };
+  {
+    server::Client client = world.connect();
+    for (const std::string& text : texts) {
+      const std::string head = text.substr(0, 40);
+      Response reply = client.submit(
+          text, std::numeric_limits<double>::infinity(), /*subscribe=*/true);
+      if (reply.type == FrameType::kError) {
+        EXPECT_EQ(reply.payload.at("code").as_string(), "query_error")
+            << head;
+        continue;
+      }
+      ASSERT_EQ(reply.type, FrameType::kSubmitted) << head;
+      const uint64_t id = reply.payload.at("id").as_uint64();
+      auto outcome = client.wait_event(
+          id, {FrameType::kQueryFailed, FrameType::kComplete}, 30.0);
+      ASSERT_TRUE(outcome.has_value()) << head;
+      EXPECT_EQ(outcome->type, FrameType::kQueryFailed) << head;
+    }
+  }
+  // The daemon keeps serving: an ordinary query completes on a new
+  // connection.
+  server::Client client = world.connect();
+  const uint64_t id = client.submit_id(
+      ServerWorld::kQuery, std::numeric_limits<double>::infinity(),
+      /*subscribe=*/true);
+  auto complete = client.wait_event(id, {FrameType::kComplete}, 30.0);
+  ASSERT_TRUE(complete.has_value());
+  EXPECT_EQ(complete->payload.at("rows").items().size(), 2u);
+}
+
 // ------------------------------------------------------------- backpressure ---
 
 TEST(ServerTest, TooManyInflightSubmitsShedIntoBusy) {

@@ -125,6 +125,18 @@ TEST(Value, CompareIsTotalOrder) {
   }
 }
 
+TEST(Value, ScalarsRankBelowCollectionsAndStructs) {
+  EXPECT_LT(Value::compare(Value::string("zz"), Value::strct({})), 0);
+  EXPECT_LT(Value::compare(Value::string("zz"), Value::bag({})), 0);
+  EXPECT_LT(Value::compare(Value::integer(7), Value::bag({})), 0);
+}
+
+TEST(Value, ZeroEqualsNegativeZeroAndHashesAlike) {
+  EXPECT_EQ(Value::integer(0), Value::real(-0.0));
+  EXPECT_EQ(Value::integer(0).hash(), Value::real(-0.0).hash());
+  EXPECT_EQ(Value::real(0.0).hash(), Value::real(-0.0).hash());
+}
+
 TEST(Value, HashConsistentWithEquality) {
   EXPECT_EQ(Value::integer(1).hash(), Value::real(1.0).hash());
   Value a = Value::bag({Value::integer(1), Value::integer(2)});
