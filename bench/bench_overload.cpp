@@ -132,7 +132,6 @@ Mediator::Options bench_options(bool sched_on) {
   options.exec.workers = 8;
   options.exec.latency_scale = 0.02;  // 250ms simulated -> 5ms wall
   options.exec.call_deadline_s = 60.0;  // simulated; never hit (sources up)
-  options.enable_plan_cache = true;
   options.sched.enabled = sched_on;
   // Fast repositories see at most kFastClients concurrent calls; a
   // generous default limit keeps them unconstrained while slow0 is

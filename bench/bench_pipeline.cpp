@@ -76,44 +76,6 @@ void BM_Stage4_EndToEndQuery(benchmark::State& state) {
   }
 }
 
-void BM_Stage4b_EndToEndWithPlanCache(benchmark::State& state) {
-  // §3.3's plan caching: repeated query texts skip parse+optimize.
-  static ScaledWorld* cached_world = [] {
-    auto* w = new ScaledWorld(8, 200);
-    return w;
-  }();
-  static Mediator* cached = [] {
-    Mediator::Options options;
-    options.enable_plan_cache = true;
-    auto* m = new Mediator(options);
-    m->register_wrapper("w0",
-                        std::shared_ptr<wrapper::Wrapper>(
-                            cached_world->wrapper, [](wrapper::Wrapper*) {}));
-    for (size_t s = 0; s < 8; ++s) {
-      std::string repo = "r" + std::to_string(s);
-      m->register_repository(
-          catalog::Repository{repo, "h", "db", "10.0.0.1"},
-          net::LatencyModel{0.010, 0.00002, 0});
-    }
-    m->execute_odl(R"(
-      interface Person (extent person) {
-        attribute Long id;
-        attribute String name;
-        attribute Short salary; };
-    )");
-    for (size_t s = 0; s < 8; ++s) {
-      m->execute_odl("extent person" + std::to_string(s) +
-                     " of Person wrapper w0 repository r" +
-                     std::to_string(s) + ";");
-    }
-    return m;
-  }();
-  for (auto _ : state) {
-    Answer a = cached->query(kQuery);
-    benchmark::DoNotOptimize(a.data().size());
-  }
-}
-
 void BM_Stage5_AnswerReconstruction(benchmark::State& state) {
   // Residual reconstruction (§4): logical -> OQL text.
   auto residual = algebra::project(
@@ -160,7 +122,6 @@ BENCHMARK(BM_ViewExpansion);
 BENCHMARK(BM_Stage2_Translate);
 BENCHMARK(BM_Stage3_Optimize);
 BENCHMARK(BM_Stage4_EndToEndQuery);
-BENCHMARK(BM_Stage4b_EndToEndWithPlanCache);
 BENCHMARK(BM_Stage5_AnswerReconstruction);
 
 BENCHMARK_MAIN();

@@ -134,7 +134,6 @@ Mediator::Options base_options() {
   options.exec.workers = 8;
   options.exec.latency_scale = 0.02;
   options.exec.call_deadline_s = 60.0;
-  options.enable_plan_cache = true;
   options.session.workers = 8;
   options.session.retry_interval_s = 1.0;
   return options;

@@ -27,7 +27,6 @@ int main() {
   options.exec.workers = 4;          // wall-clock mode: real thread pool
   options.exec.latency_scale = 0.2;  // replay 5ms sim latency as 1ms wall
   options.exec.retry.max_attempts = 8;
-  options.enable_plan_cache = true;
   Mediator mediator(options);
 
   std::vector<std::unique_ptr<memdb::Database>> dbs;
@@ -107,7 +106,7 @@ int main() {
   std::cout << "federation traffic: calls=" << traffic.calls
             << " rows=" << traffic.rows << " failures=" << traffic.failures
             << "\n";
-  std::cout << "plan cache: hits=" << mediator.plan_cache_stats().hits
-            << " misses=" << mediator.plan_cache_stats().misses << "\n";
+  std::cout << "plan templates: hits=" << mediator.plan_cache_stats().hits
+            << " builds=" << mediator.plan_cache_stats().misses << "\n";
   return 0;
 }

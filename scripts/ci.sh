@@ -16,6 +16,12 @@
 #   DISCO_COVERAGE=1 scripts/ci.sh  # additionally build instrumented,
 #                                   # run the memdb/docstore suites and
 #                                   # gate their line coverage (85%)
+#   DISCO_PLANCHECK=1 scripts/ci.sh  # additionally build with the
+#                                    # DISCO_PLANCHECK definition (every
+#                                    # plan-template hit is checked
+#                                    # against a fresh optimize) and run
+#                                    # the full suite and the three
+#                                    # bench smokes there (build-plancheck/)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -48,6 +54,20 @@ if [[ "${DISCO_ASAN:-0}" != "0" ]]; then
   cmake --build "$repo/build-asan" -j "$(nproc)"
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir "$repo/build-asan" --output-on-failure
+fi
+
+if [[ "${DISCO_PLANCHECK:-0}" != "0" ]]; then
+  # A template hit and a fresh enumerate+bind of the same query, priced
+  # from one set of estimates, must agree on plan text, estimate,
+  # plans_considered and every node's logical form; any difference throws
+  # an InternalError, which fails the suite or the smoke that met it.
+  echo "== plan check: every template hit against a fresh optimize =="
+  cmake -B "$repo/build-plancheck" -S "$repo" -DDISCO_PLANCHECK=ON
+  cmake --build "$repo/build-plancheck" -j "$(nproc)"
+  ctest --test-dir "$repo/build-plancheck" --output-on-failure -j "$(nproc)"
+  "$repo/build-plancheck/bench/bench_manysources" --smoke
+  "$repo/build-plancheck/bench/bench_index" --smoke
+  "$repo/build-plancheck/bench/bench_docsource" --smoke
 fi
 
 if [[ "${DISCO_BENCH:-0}" != "0" ]]; then

@@ -95,10 +95,20 @@ LogicalPtr submit(std::string repository, LogicalPtr child) {
 
 namespace {
 
-std::string mask(const std::string& text);
-
-void render(const LogicalPtr& expr, bool mask_constants, std::string& out) {
+/// Renders `expr`; with `mask_constants` every literal is masked as the
+/// signature masks it. `spans` (unmasked only) receives the span of every
+/// literal printed.
+void render(const LogicalPtr& expr, bool mask_constants, std::string& out,
+            std::vector<oql::LiteralSpan>* spans) {
   internal_check(expr != nullptr, "cannot render a null logical expression");
+  // A predicate or projection: printed in place, or masked as a whole.
+  auto fragment = [&](const oql::ExprPtr& e) {
+    if (mask_constants) {
+      out += mask_literals(oql::to_oql(e));
+    } else {
+      oql::append_oql(*e, out, spans);
+    }
+  };
   switch (expr->op) {
     case LOp::Get:
       out += "get(" + expr->extent + ", " + expr->var + ")";
@@ -106,29 +116,28 @@ void render(const LogicalPtr& expr, bool mask_constants, std::string& out) {
     case LOp::Const:
       out += mask_constants ? "const(?)" : "const(" + expr->data.to_oql() + ")";
       return;
-    case LOp::Filter: {
-      std::string pred = oql::to_oql(expr->predicate);
-      out += "select(" + (mask_constants ? mask(pred) : pred) + ", ";
-      render(expr->child, mask_constants, out);
+    case LOp::Filter:
+      out += "select(";
+      fragment(expr->predicate);
+      out += ", ";
+      render(expr->child, mask_constants, out, spans);
       out += ")";
       return;
-    }
-    case LOp::Project: {
-      std::string proj = oql::to_oql(expr->projection);
-      out += std::string("project(") + (expr->distinct ? "distinct " : "") +
-             (mask_constants ? mask(proj) : proj) + ", ";
-      render(expr->child, mask_constants, out);
+    case LOp::Project:
+      out += expr->distinct ? "project(distinct " : "project(";
+      fragment(expr->projection);
+      out += ", ";
+      render(expr->child, mask_constants, out, spans);
       out += ")";
       return;
-    }
     case LOp::Join: {
       out += "join(";
-      render(expr->left, mask_constants, out);
+      render(expr->left, mask_constants, out, spans);
       out += ", ";
-      render(expr->right, mask_constants, out);
+      render(expr->right, mask_constants, out, spans);
       if (expr->predicate != nullptr) {
-        std::string pred = oql::to_oql(expr->predicate);
-        out += ", " + (mask_constants ? mask(pred) : pred);
+        out += ", ";
+        fragment(expr->predicate);
       }
       out += ")";
       return;
@@ -137,14 +146,14 @@ void render(const LogicalPtr& expr, bool mask_constants, std::string& out) {
       out += "union(";
       for (size_t i = 0; i < expr->children.size(); ++i) {
         if (i > 0) out += ", ";
-        render(expr->children[i], mask_constants, out);
+        render(expr->children[i], mask_constants, out, spans);
       }
       out += ")";
       return;
     }
     case LOp::Submit: {
       out += "submit(" + expr->repository + ", ";
-      render(expr->child, mask_constants, out);
+      render(expr->child, mask_constants, out, spans);
       out += ")";
       return;
     }
@@ -152,10 +161,9 @@ void render(const LogicalPtr& expr, bool mask_constants, std::string& out) {
   throw InternalError("corrupt logical expression");
 }
 
-/// Masks literal tokens inside a printed OQL fragment: numbers and quoted
-/// strings become '?'. Good enough for the close-match signature; it only
-/// needs to be stable and constant-insensitive, not reversible.
-std::string mask(const std::string& text) {
+}  // namespace
+
+std::string mask_literals(const std::string& text) {
   std::string out;
   size_t i = 0;
   while (i < text.size()) {
@@ -195,23 +203,24 @@ std::string mask(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
 std::string to_algebra_string(const LogicalPtr& expr) {
   std::string out;
-  render(expr, /*mask_constants=*/false, out);
+  render(expr, /*mask_constants=*/false, out, nullptr);
   return out;
 }
 
 std::string signature(const LogicalPtr& expr) {
   std::string out;
-  render(expr, /*mask_constants=*/true, out);
+  render(expr, /*mask_constants=*/true, out, nullptr);
   return out;
 }
 
-CostKeyPtr cost_key(const LogicalPtr& expr) {
-  return std::make_shared<const CostKey>(
-      CostKey{to_algebra_string(expr), signature(expr)});
+CostKeyPtr cost_key(const LogicalPtr& expr,
+                    std::vector<oql::LiteralSpan>* literals) {
+  CostKey key;
+  render(expr, /*mask_constants=*/false, key.text, literals);
+  key.signature = signature(expr);
+  return std::make_shared<const CostKey>(std::move(key));
 }
 
 namespace {

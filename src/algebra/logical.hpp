@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "oql/ast.hpp"
+#include "oql/printer.hpp"
 #include "value/value.hpp"
 
 namespace disco::algebra {
@@ -89,6 +90,11 @@ std::string to_algebra_string(const LogicalPtr& expr);
 /// signature — the paper's "close match" (§3.3).
 std::string signature(const LogicalPtr& expr);
 
+/// The signature's masking of one printed OQL fragment: numbers and
+/// quoted strings become '?'. Stable and constant-insensitive, not
+/// reversible. `nil`, `true`, `false` and a number's sign stay as printed.
+std::string mask_literals(const std::string& text);
+
 /// The two §3.3 cost-history keys of one shipped expression, rendered
 /// once. Plan nodes carry one per source call, so estimating, recording
 /// and the result cache's lookup read it instead of rendering the tree
@@ -99,7 +105,11 @@ struct CostKey {
 };
 using CostKeyPtr = std::shared_ptr<const CostKey>;
 
-CostKeyPtr cost_key(const LogicalPtr& expr);
+/// `literals` (optional) receives the span of every literal in the key's
+/// text, in print order: where a plan template splices another query's
+/// literals into a key it rendered once.
+CostKeyPtr cost_key(const LogicalPtr& expr,
+                    std::vector<oql::LiteralSpan>* literals = nullptr);
 
 /// Binding variables produced by this subtree, in join order.
 std::vector<std::string> bound_vars(const LogicalPtr& expr);

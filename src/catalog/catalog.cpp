@@ -8,7 +8,6 @@
 namespace disco::catalog {
 
 void Catalog::define_repository(Repository repository) {
-  ++version_;
   if (repository.name.empty()) {
     throw CatalogError("repository needs a name");
   }
@@ -37,7 +36,6 @@ std::vector<std::string> Catalog::repository_names() const {
 }
 
 void Catalog::define_extent(MetaExtent extent) {
-  ++version_;
   if (extent.name.empty()) throw CatalogError("extent needs a name");
   if (extents_.contains(extent.name)) {
     throw CatalogError("extent '" + extent.name + "' is already defined");
@@ -65,7 +63,6 @@ void Catalog::define_extent(MetaExtent extent) {
 }
 
 void Catalog::drop_extent(const std::string& name) {
-  ++version_;
   auto it = extents_.find(name);
   if (it == extents_.end()) {
     throw CatalogError("cannot drop unknown extent '" + name + "'");
@@ -142,7 +139,6 @@ Value Catalog::metaextent_rows() const {
 }
 
 void Catalog::define_view(std::string name, oql::ExprPtr query) {
-  ++version_;
   if (name.empty() || query == nullptr) {
     throw CatalogError("view needs a name and a query");
   }

@@ -55,12 +55,7 @@ struct ViewDef {
 
 class Catalog {
  public:
-  /// Mutable access bumps the version: defining types changes what
-  /// queries mean.
-  TypeRegistry& types() {
-    ++version_;
-    return types_;
-  }
+  TypeRegistry& types() { return types_; }
   const TypeRegistry& types() const { return types_; }
 
   // -- repositories ----------------------------------------------------------
@@ -102,12 +97,6 @@ class Catalog {
   const oql::ExprPtr& view(const std::string& name) const;
   std::vector<std::string> view_names() const;
 
-  /// Monotone counter bumped by every schema change (type, repository,
-  /// extent, view). Plan caches key on it: "the mediator must monitor
-  /// updates to extents, and modify or recompute plans that are affected"
-  /// (§3.3).
-  uint64_t version() const { return version_; }
-
   /// Resolves what a free identifier in a query means, in priority order:
   /// view, implicit extent (via its interface), registered extent,
   /// the literal `metaextent` collection.
@@ -119,7 +108,6 @@ class Catalog {
   void check_view_acyclic(const std::string& name,
                           const oql::ExprPtr& query) const;
 
-  uint64_t version_ = 0;
   TypeRegistry types_;
   std::unordered_map<std::string, Repository> repositories_;
   std::vector<std::string> repository_order_;

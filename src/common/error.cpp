@@ -60,10 +60,10 @@ ExecutionError::ExecutionError(const std::string& message)
 InternalError::InternalError(const std::string& message)
     : DiscoError(ErrorKind::Internal, message) {}
 
-void internal_check(bool condition, const std::string& message) {
-  if (!condition) {
-    throw InternalError(message);
-  }
+void internal_fail(const char* message) { throw InternalError(message); }
+
+void internal_fail(const std::string& message) {
+  throw InternalError(message);
 }
 
 }  // namespace disco

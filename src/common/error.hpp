@@ -84,8 +84,21 @@ class InternalError : public DiscoError {
   explicit InternalError(const std::string& message);
 };
 
+/// Throws InternalError(message). Out of line, so the checks below stay
+/// a compare and a branch.
+[[noreturn]] void internal_fail(const char* message);
+[[noreturn]] void internal_fail(const std::string& message);
+
 /// Throws InternalError when `condition` is false. Use for invariants that
-/// indicate a DISCO bug rather than bad user input.
-void internal_check(bool condition, const std::string& message);
+/// indicate a DISCO bug rather than bad user input. A string literal picks
+/// this overload and costs nothing when the check passes; a message built
+/// by concatenation is built on every call, so such sites test the
+/// condition first and throw InternalError themselves.
+inline void internal_check(bool condition, const char* message) {
+  if (!condition) [[unlikely]] internal_fail(message);
+}
+inline void internal_check(bool condition, const std::string& message) {
+  if (!condition) [[unlikely]] internal_fail(message);
+}
 
 }  // namespace disco

@@ -1,7 +1,6 @@
 #include "core/mediator.hpp"
 
 #include <chrono>
-#include <optional>
 
 #include "algebra/logical.hpp"
 #include "algebra/to_oql.hpp"
@@ -131,6 +130,10 @@ Mediator::Mediator(Options options)
 }
 
 void Mediator::apply_invalidation(const fedcat::UpdateScope& scope) {
+  // Plan templates key on the sources each query resolved to, so only an
+  // interface definition, which changes what a query means (and how it
+  // typechecks), retires them.
+  if (scope.types_changed) templates_.clear();
   if (result_cache_ == nullptr) return;
   // Interface definitions change what any query *means*; every cached
   // submit answer is suspect. Extent changes only invalidate their
@@ -354,93 +357,119 @@ physical::ExecContext Mediator::make_context(
 }
 
 Answer Mediator::query(const std::string& oql_text, QueryOptions options) {
-  // Pin the current epoch: this query plans and executes against exactly
-  // this snapshot, no matter what administration does meanwhile.
-  const fedcat::SnapshotPtr snap = fedcat_.snapshot();
   QueryTrace qt = begin_trace(oql_text);
-  if (!options_.enable_plan_cache) {
-    oql::ExprPtr parsed;
-    {
-      obs::ScopedSpan parse(qt.obs(), "parse", "mediator");
-      parsed = oql::parse(oql_text);
-    }
-    Answer answer = query_impl(snap, parsed, options, qt);
-    finish_query_trace(qt, answer);
-    return answer;
-  }
-  // §3.3: cached plans are recomputed when the catalog changes (the
-  // epoch number moved) — and when cost observations materially move the
-  // learned model, so a plan chosen with the 0/1 default does not
-  // outlive the first real measurements.
-  const uint64_t epoch = snap->epoch;
-  const uint64_t history_version = history_.version();
-  std::optional<optimizer::Optimizer::Result> planned;
+  oql::ExprPtr parsed;
   {
-    std::unique_lock lock(plan_cache_mutex_);
-    if (plan_cache_epoch_ != epoch ||
-        plan_cache_history_version_ != history_version) {
-      plan_cache_.clear();
-      plan_cache_epoch_ = epoch;
-      plan_cache_history_version_ = history_version;
-      ++plan_cache_stats_.invalidations;
-    }
-    auto it = plan_cache_.find(oql_text);
-    if (it != plan_cache_.end()) {
-      ++plan_cache_stats_.hits;
-      planned = it->second;  // cheap: shared subtrees
-    } else {
-      ++plan_cache_stats_.misses;
-    }
+    obs::ScopedSpan parse(qt.obs(), "parse", "mediator");
+    parsed = oql::parse(oql_text);
   }
-  if (planned) {
-    if (qt.trace != nullptr) {
-      qt.trace->instant(qt.root, "plan_cache_hit", "mediator");
-    }
-  } else {
-    oql::ExprPtr parsed;
-    {
-      obs::ScopedSpan parse(qt.obs(), "parse", "mediator");
-      parsed = oql::parse(oql_text);
-    }
-    planned = optimize_traced(snap, parsed, qt);
-    std::unique_lock lock(plan_cache_mutex_);
-    // Cache only if the world did not move while we optimized; a stale
-    // insert would serve outdated plans to later queries.
-    if (plan_cache_epoch_ == epoch &&
-        plan_cache_history_version_ == history_version) {
-      plan_cache_.emplace(oql_text, *planned);
-    }
-  }
-  Answer answer = run_planned(snap, *planned, options, qt);
+  Answer answer = query_impl(parsed, options, qt);
   finish_query_trace(qt, answer);
   return answer;
 }
 
 Answer Mediator::query(const oql::ExprPtr& query_expr,
                        QueryOptions options) {
-  const fedcat::SnapshotPtr snap = fedcat_.snapshot();
   // The OQL text is only reconstructed when someone will read it.
   QueryTrace qt = begin_trace(tracer_ != nullptr ? oql::to_oql(query_expr)
                                                  : std::string());
-  Answer answer = query_impl(snap, query_expr, options, qt);
+  Answer answer = query_impl(query_expr, options, qt);
   finish_query_trace(qt, answer);
   return answer;
 }
 
-Answer Mediator::query_impl(const fedcat::SnapshotPtr& snap,
-                            const oql::ExprPtr& query_expr,
+Answer Mediator::query_impl(const oql::ExprPtr& query_expr,
                             QueryOptions options, const QueryTrace& qt) {
-  optimizer::Optimizer::Result planned = optimize_traced(snap, query_expr, qt);
+  // Read before the epoch is pinned: an interface definition publishes
+  // its epoch, then clears the templates, so a template built from an
+  // epoch older than a clear is never kept.
+  const uint64_t generation = templates_.generation();
+  // Pin the current epoch: this query plans and executes against exactly
+  // this snapshot, no matter what administration does meanwhile.
+  const fedcat::SnapshotPtr snap = fedcat_.snapshot();
+  optimizer::Optimizer::Result planned =
+      optimize_traced(snap, query_expr, generation, qt);
   return run_planned(snap, planned, options, qt);
 }
 
+#ifdef DISCO_PLANCHECK
+namespace {
+
+/// Every node's logical form and source keys, in plan order: the residual
+/// forms a partial answer would be made of.
+void logical_forms(const physical::PhysicalPtr& node, std::string& out) {
+  if (node == nullptr) return;
+  out += algebra::to_algebra_string(node->logical);
+  for (const algebra::CostKeyPtr& key : {node->remote_key, node->probe_key}) {
+    if (key != nullptr) out += '|' + key->text + '|' + key->signature;
+  }
+  out += '\n';
+  logical_forms(node->child, out);
+  logical_forms(node->left, out);
+  logical_forms(node->right, out);
+  for (const physical::PhysicalPtr& child : node->children) {
+    logical_forms(child, out);
+  }
+}
+
+/// Plan-check builds: a template hit must plan exactly as a fresh
+/// optimize of the same query priced from the same estimates.
+void check_same_plan(const optimizer::Optimizer::Result& hit,
+                     const optimizer::Optimizer::Result& fresh) {
+  internal_check((hit.plan == nullptr) == (fresh.plan == nullptr),
+                 "plan check: template and fresh optimize disagree on mode");
+  if (hit.plan == nullptr) return;
+  std::string hit_forms;
+  std::string fresh_forms;
+  logical_forms(hit.plan, hit_forms);
+  logical_forms(fresh.plan, fresh_forms);
+  internal_check(physical::to_physical_string(hit.plan) ==
+                     physical::to_physical_string(fresh.plan),
+                 "plan check: template and fresh optimize chose different "
+                 "plans");
+  internal_check(hit_forms == fresh_forms,
+                 "plan check: residual logical forms differ");
+  internal_check(hit.estimated.net_s == fresh.estimated.net_s &&
+                     hit.estimated.cpu_s == fresh.estimated.cpu_s &&
+                     hit.estimated.rows == fresh.estimated.rows,
+                 "plan check: estimates differ");
+  internal_check(hit.plans_considered == fresh.plans_considered,
+                 "plan check: plans_considered differs");
+}
+
+}  // namespace
+#endif
+
 optimizer::Optimizer::Result Mediator::optimize_traced(
     const fedcat::SnapshotPtr& snap, const oql::ExprPtr& query_expr,
-    const QueryTrace& qt) const {
+    uint64_t generation, const QueryTrace& qt) const {
   obs::ScopedSpan span(qt.obs(), "optimize", "optimizer");
+  const optimizer::Optimizer opt = make_optimizer(snap);
+  const optimizer::QueryShape shape =
+      optimizer::shape_of(query_expr, snap->catalog, /*keyed=*/true);
+  std::shared_ptr<const optimizer::PlanTemplate> plan;
+  if (!shape.key.empty()) plan = templates_.find(shape.key);
+  const bool hit = plan != nullptr;
+  if (!hit) {
+    // Built outside the table's lock: concurrent misses of one shape may
+    // each build, and the first insert is kept.
+    templates_.count_build();
+    plan = opt.enumerate(shape, span.context());
+    if (plan->reusable) templates_.insert(shape.key, plan, generation);
+  }
+#ifdef DISCO_PLANCHECK
+  optimizer::PricingMemo memo;
   optimizer::Optimizer::Result planned =
-      make_optimizer(snap).optimize(query_expr, span.context());
+      opt.bind(*plan, shape, span.context(), &memo);
+  if (hit) {
+    check_same_plan(planned, opt.bind(*opt.enumerate(shape), shape, {}, &memo));
+  }
+#else
+  optimizer::Optimizer::Result planned =
+      opt.bind(*plan, shape, span.context());
+#endif
   if (span) {
+    span.tag("template", hit ? "hit" : "miss");
     span.tag("plans_considered",
              static_cast<uint64_t>(planned.plans_considered));
     span.tag("estimated_net_s", planned.estimated.net_s);

@@ -21,10 +21,10 @@
 //   )");
 //   disco::Answer a = m.query("select x.name from x in person");
 //
-// Concurrency: query() is safe to call from many threads at once —
-// the plan cache sits under a shared_mutex, CostHistory and the network
-// are internally synchronized, and with Options::exec.workers > 0 the
-// source calls of each plan fan out across one shared thread pool.
+// Concurrency: query() is safe to call from many threads at once — the
+// plan-template table sits under a shared_mutex, CostHistory and the
+// network are internally synchronized, and with Options::exec.workers > 0
+// the source calls of each plan fan out across one shared thread pool.
 // Administration (execute_odl, register_*) is concurrent with queries:
 // the federation catalog lives in epoch-numbered immutable snapshots
 // (src/fedcat/). Every query pins the snapshot current at its start and
@@ -49,7 +49,6 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
@@ -65,6 +64,7 @@
 #include "obs/tracer.hpp"
 #include "optimizer/cost.hpp"
 #include "optimizer/optimizer.hpp"
+#include "optimizer/plan_template.hpp"
 #include "sched/scheduler.hpp"
 #include "session/health.hpp"
 #include "session/session.hpp"
@@ -90,11 +90,9 @@ class Mediator {
     /// against the extent's interface. Off by default (costs a pass over
     /// every fetched row).
     bool validate_source_rows = false;
-    /// Reuse optimized plans for repeated query texts. Invalidated by any
-    /// catalog change (§3.3: "the mediator must monitor updates to
-    /// extents, and modify or recompute plans") and by material
-    /// cost-history updates, so cached plans are re-optimized once real
-    /// cost observations arrive.
+    /// Read by nothing. Plan templates (optimizer/plan_template.hpp) are
+    /// always on: every query binds the template of its shape, priced
+    /// afresh. The field stays so that existing configurations compile.
     bool enable_plan_cache = false;
     /// Concurrent executor (src/exec/): workers == 0 keeps the paper's
     /// deterministic sequential virtual-time simulation; workers >= 1
@@ -285,6 +283,10 @@ class Mediator {
   /// health — the single pane of glass for a mediator under load.
   obs::RegistrySnapshot obs_snapshot() const;
 
+  /// Plan-template counters: `hits` are queries that bound a kept
+  /// template, `misses` the enumerations on the query path (a shape seen
+  /// first, or one no template may serve), `invalidations` the templates
+  /// dropped (batch eviction, or an interface definition).
   struct PlanCacheStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -292,8 +294,8 @@ class Mediator {
   };
   /// Snapshot (the counters move concurrently under load).
   PlanCacheStats plan_cache_stats() const {
-    std::shared_lock lock(plan_cache_mutex_);
-    return plan_cache_stats_;
+    const optimizer::TemplateTable::Stats stats = templates_.stats();
+    return PlanCacheStats{stats.hits, stats.builds, stats.drops};
   }
 
   // -- result cache (src/cache/) ---------------------------------------------
@@ -360,17 +362,19 @@ class Mediator {
   void finish_query_trace(const QueryTrace& qt, const Answer& answer);
 
   /// The query pipeline under one pinned snapshot: every stage below
-  /// plans and executes against `snap`'s epoch, so a concurrent
-  /// registration can never change the world out from under a running
-  /// query. The lambdas handed to the optimizer / runtime capture the
-  /// SnapshotPtr by value, which is what keeps the epoch alive.
-  Answer query_impl(const fedcat::SnapshotPtr& snap,
-                    const oql::ExprPtr& query, QueryOptions options,
+  /// plans and executes against the epoch current when it starts, so a
+  /// concurrent registration can never change the world out from under a
+  /// running query. The lambdas handed to the optimizer / runtime capture
+  /// the SnapshotPtr by value, which is what keeps the epoch alive.
+  Answer query_impl(const oql::ExprPtr& query, QueryOptions options,
                     const QueryTrace& qt);
-  /// Optimizes under an "optimize" span (plan tags, candidate events).
+  /// Optimizes under an "optimize" span (plan tags, candidate events,
+  /// "template": hit or miss): binds the template of the query's shape,
+  /// enumerating it first when there is none, and keeping it unless the
+  /// template table moved past `generation` meanwhile.
   optimizer::Optimizer::Result optimize_traced(
       const fedcat::SnapshotPtr& snap, const oql::ExprPtr& query,
-      const QueryTrace& qt) const;
+      uint64_t generation, const QueryTrace& qt) const;
   Answer run_planned(const fedcat::SnapshotPtr& snap,
                      const optimizer::Optimizer::Result& planned,
                      QueryOptions options, const QueryTrace& qt);
@@ -431,16 +435,11 @@ class Mediator {
   // session subsystem below (destroyed after it).
   std::unique_ptr<cache::ResultCache> result_cache_;
 
-  // Plan cache (Options::enable_plan_cache), shared across concurrent
-  // queries. Invalidated when the catalog epoch *or* the cost-history
-  // version moves, so §3.3's "recompute plans that are affected" also
-  // covers fresh cost observations.
-  mutable std::shared_mutex plan_cache_mutex_;
-  mutable std::unordered_map<std::string, optimizer::Optimizer::Result>
-      plan_cache_;
-  mutable uint64_t plan_cache_epoch_ = 0;
-  mutable uint64_t plan_cache_history_version_ = 0;
-  mutable PlanCacheStats plan_cache_stats_;
+  // Plan templates, one per query shape, shared across concurrent
+  // queries. Keys name the sources each query resolved to, so catalog
+  // updates need no invalidation but an interface definition's; every
+  // use is priced afresh, so cost observations need none at all.
+  mutable optimizer::TemplateTable templates_;
 
   // Session subsystem (src/session/). Declared last on purpose —
   // destroyed first, in order: sessions_ (its worker runs queries

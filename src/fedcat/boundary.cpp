@@ -54,8 +54,9 @@ class Renamer {
  private:
   const wrapper::ExtentBinding& binding_of(const std::string& extent) const {
     auto it = bindings_.find(extent);
-    internal_check(it != bindings_.end(),
-                   "missing binding for extent '" + extent + "'");
+    if (it == bindings_.end()) {
+      throw InternalError("missing binding for extent '" + extent + "'");
+    }
     return it->second;
   }
 

@@ -1,7 +1,6 @@
 #include "optimizer/cost.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 #include <vector>
 
@@ -9,30 +8,15 @@
 
 namespace disco::optimizer {
 
-namespace {
-
-/// Did an EWMA move enough to make cached plans stale?
-bool moved_materially(double before, double after, double threshold) {
-  double scale = std::max(std::abs(before), 1e-9);
-  return std::abs(after - before) > threshold * scale;
-}
-
-}  // namespace
-
-bool CostHistory::update(Entry& entry, double time_s, double rows) const {
+void CostHistory::update(Entry& entry, double time_s, double rows) const {
   if (entry.count == 0) {
     entry.time_ewma = time_s;
     entry.rows_ewma = rows;
-    ++entry.count;
-    return true;  // first observation for this key: new information
+  } else {
+    entry.time_ewma = alpha_ * time_s + (1 - alpha_) * entry.time_ewma;
+    entry.rows_ewma = alpha_ * rows + (1 - alpha_) * entry.rows_ewma;
   }
-  double time_before = entry.time_ewma;
-  double rows_before = entry.rows_ewma;
-  entry.time_ewma = alpha_ * time_s + (1 - alpha_) * entry.time_ewma;
-  entry.rows_ewma = alpha_ * rows + (1 - alpha_) * entry.rows_ewma;
   ++entry.count;
-  return moved_materially(time_before, entry.time_ewma, kMaterialChange) ||
-         moved_materially(rows_before, entry.rows_ewma, kMaterialChange);
 }
 
 void CostHistory::record(const std::string& repository,
@@ -40,23 +24,14 @@ void CostHistory::record(const std::string& repository,
                          size_t rows) {
   Shard& shard = shard_for(repository);
   const double row_count = static_cast<double>(rows);
-  bool material;
-  {
-    std::unique_lock lock(shard.mutex);
-    Observed& observed = shard.repositories[repository];
-    Entry& exact = observed.exact[key.text];
-    material = update(exact, time_s, row_count);
-    exact.recorded = ++observed.records;
-    update(observed.close[key.signature], time_s, row_count);
-    update(observed.average, time_s, row_count);
-    if (observed.exact.size() > kMaxExactKeys) {
-      evict_oldest(observed);
-      material = true;
-    }
-  }
-  if (material) {
-    version_.fetch_add(1, std::memory_order_release);
-  }
+  std::unique_lock lock(shard.mutex);
+  Observed& observed = shard.repositories[repository];
+  Entry& exact = observed.exact[key.text];
+  update(exact, time_s, row_count);
+  exact.recorded = ++observed.records;
+  update(observed.close[key.signature], time_s, row_count);
+  update(observed.average, time_s, row_count);
+  if (observed.exact.size() > kMaxExactKeys) evict_oldest(observed);
 }
 
 void CostHistory::evict_oldest(Observed& observed) {
@@ -84,6 +59,12 @@ void CostHistory::record(const std::string& repository,
 
 CostHistory::Estimate CostHistory::estimate(
     const std::string& repository, const algebra::CostKey& key) const {
+  return estimate(repository, key.text, key.signature);
+}
+
+CostHistory::Estimate CostHistory::estimate(
+    const std::string& repository, const std::string& text,
+    const std::string& signature) const {
   Shard& shard = shard_for(repository);
   std::shared_lock lock(shard.mutex);
   auto repo_it = shard.repositories.find(repository);
@@ -91,12 +72,12 @@ CostHistory::Estimate CostHistory::estimate(
     return Estimate{};  // the paper's 0/1 default
   }
   const Observed& observed = repo_it->second;
-  auto exact_it = observed.exact.find(key.text);
+  auto exact_it = observed.exact.find(text);
   if (exact_it != observed.exact.end()) {
     return Estimate{exact_it->second.time_ewma, exact_it->second.rows_ewma,
                     Basis::Exact, exact_it->second.count};
   }
-  auto close_it = observed.close.find(key.signature);
+  auto close_it = observed.close.find(signature);
   if (close_it != observed.close.end()) {
     return Estimate{close_it->second.time_ewma, close_it->second.rows_ewma,
                     Basis::Close, close_it->second.count};
@@ -147,7 +128,6 @@ void CostHistory::clear() {
     std::unique_lock lock(shard.mutex);
     shard.repositories.clear();
   }
-  version_.fetch_add(1, std::memory_order_release);
 }
 
 }  // namespace disco::optimizer

@@ -39,16 +39,12 @@
 // Thread safety: record() runs from executor threads while estimate()
 // runs inside concurrent optimizations. State is sharded by repository
 // (every key lives under its repository, so one call touches one shard)
-// under per-shard shared_mutexes. version() is a monotonic counter bumped when
-// an observation *materially* changes the model — a new exact signature,
-// an EWMA moving by more than 20%, or an eviction of exact keys (their
-// estimates fall back to close matches) — which the mediator's plan cache
-// watches to re-optimize cached plans after cost observations (§3.3:
-// "modify or recompute plans that are affected").
+// under per-shard shared_mutexes. Nothing caches an estimate: the
+// mediator's plan templates price every query afresh (§3.3's "modify or
+// recompute plans that are affected" then holds by construction).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -85,12 +81,10 @@ class CostHistory {
   /// Same, rendering `remote`'s key first.
   Estimate estimate(const std::string& repository,
                     const algebra::LogicalPtr& remote) const;
-
-  /// Monotonic model version: bumped whenever a recorded observation
-  /// materially changes an estimate. Plan caches invalidate on change.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
+  /// Same, for a key given as its two texts (CostKey::text and
+  /// CostKey::signature).
+  Estimate estimate(const std::string& repository, const std::string& text,
+                    const std::string& signature) const;
 
   /// Exact keys kept per repository, and how many go at once when a
   /// repository passes that.
@@ -125,17 +119,13 @@ class CostHistory {
   Shard& shard_for(const std::string& repository) const {
     return shards_[std::hash<std::string>{}(repository) % kShards];
   }
-  /// Returns true when the update was material (new key, or an EWMA
-  /// moved by more than kMaterialChange relative).
-  bool update(Entry& entry, double time_s, double rows) const;
+  /// Folds one observation into `entry`'s moving averages.
+  void update(Entry& entry, double time_s, double rows) const;
   /// Drops the kEvictBatch least recently recorded exact keys.
   static void evict_oldest(Observed& observed);
 
-  static constexpr double kMaterialChange = 0.2;
-
   double alpha_;
   mutable std::array<Shard, kShards> shards_;
-  std::atomic<uint64_t> version_{0};
 };
 
 /// Plan cost in the optimizer's model. Network time composes by max

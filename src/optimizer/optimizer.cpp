@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "optimizer/plan_template.hpp"
 #include "optimizer/typecheck.hpp"
 #include "oql/printer.hpp"
 
@@ -40,18 +41,28 @@ void add_union_input(Cost& total, const Cost& input) {
   total.rows += input.rows;
 }
 
+/// A source call whose key text a binding rewrote: the texts to price it
+/// under (empty: the plan's own).
+struct BoundText {
+  const physical::Physical* node;
+  std::string remote;
+  std::string probe;
+};
+
 class Coster {
  public:
-  Coster(const CostHistory* history, const Optimizer::HealthFn* health)
-      : history_(history), health_(health) {}
+  Coster(const CostHistory* history, const Optimizer::HealthFn* health,
+         PricingMemo* memo = nullptr)
+      : history_(history), health_(health), memo_(memo) {}
+
+  /// Prices the source calls in `texts` under their bound texts; null
+  /// restores the plans' own keys.
+  void use_texts(const std::vector<BoundText>* texts) { texts_ = texts; }
 
   Cost cost(const PhysicalPtr& node) const {
     switch (node->op) {
       case physical::POp::Exec: {
-        CostHistory::Estimate est =
-            history_ == nullptr
-                ? CostHistory::Estimate{}
-                : history_->estimate(node->repository, *node->remote_key);
+        CostHistory::Estimate est = estimate(*node, /*probe=*/false);
         return Cost{source_time(node->repository, est.time_s), 0,
                     std::max(est.rows, 0.0)};
       }
@@ -94,8 +105,7 @@ class Coster {
         // exactly what one key-bound fetch costs here (near-constant for
         // an indexed source, a full scan's worth otherwise).
         if (history_ != nullptr) {
-          CostHistory::Estimate probe_est =
-              history_->estimate(node->repository, *node->probe_key);
+          CostHistory::Estimate probe_est = estimate(*node, /*probe=*/true);
           if (probe_est.basis == CostHistory::Basis::Exact ||
               probe_est.basis == CostHistory::Basis::Close) {
             probe_time = source_time(node->repository, probe_est.time_s);
@@ -104,10 +114,7 @@ class Coster {
           }
         }
         if (!observed_probe) {
-          CostHistory::Estimate est =
-              history_ == nullptr
-                  ? CostHistory::Estimate{}
-                  : history_->estimate(node->repository, *node->remote_key);
+          CostHistory::Estimate est = estimate(*node, /*probe=*/false);
           // The key disjunction narrows the probe to roughly one row per
           // build key; scale the base estimate accordingly.
           double selectivity =
@@ -133,17 +140,43 @@ class Coster {
   }
 
  private:
+  /// §3.3's learned estimate of one source call (a bind join's probe
+  /// shape with `probe`), under its bound text when it has one.
+  CostHistory::Estimate estimate(const physical::Physical& node,
+                                 bool probe) const {
+    if (history_ == nullptr) return CostHistory::Estimate{};
+    const algebra::CostKey& key = probe ? *node.probe_key : *node.remote_key;
+    const std::string* text = &key.text;
+    if (texts_ != nullptr) {
+      for (const BoundText& bound : *texts_) {
+        if (bound.node != &node) continue;
+        const std::string& rewritten = probe ? bound.probe : bound.remote;
+        if (!rewritten.empty()) text = &rewritten;
+        break;
+      }
+    }
+    if (memo_ != nullptr) {
+      return memo_->estimate(*history_, node.repository, *text,
+                             key.signature);
+    }
+    return history_->estimate(node.repository, *text, key.signature);
+  }
+
   /// Expected network time of one source call given its health: §3.3's
   /// learned estimate stretched by 1/availability (the expected number
   /// of rounds a source answering with probability p needs is 1/p).
   double source_time(const std::string& repository, double time_s) const {
     if (health_ == nullptr || !*health_) return time_s;
-    double availability = (*health_)(repository);
+    double availability = memo_ != nullptr
+                              ? memo_->availability(*health_, repository)
+                              : (*health_)(repository);
     return time_s / std::max(availability, kMinAvailability);
   }
 
   const CostHistory* history_;
   const Optimizer::HealthFn* health_;
+  PricingMemo* memo_;
+  const std::vector<BoundText>* texts_ = nullptr;
 };
 
 /// One from-binding of a branch after decomposition.
@@ -437,8 +470,9 @@ Optimizer::Optimizer(const catalog::Catalog* catalog,
 grammar::Grammar Optimizer::capability_for(
     const std::string& wrapper_name) const {
   wrapper::Wrapper* wrapper = wrappers_(wrapper_name);
-  internal_check(wrapper != nullptr,
-                 "no wrapper object named '" + wrapper_name + "'");
+  if (wrapper == nullptr) {
+    throw InternalError("no wrapper object named '" + wrapper_name + "'");
+  }
   return wrapper->capabilities();
 }
 
@@ -447,34 +481,89 @@ const std::string& Optimizer::wrapper_of_extent(
   return catalog_->extent(extent).wrapper;
 }
 
-physical::PhysicalPtr Optimizer::implement(const LogicalPtr& node) const {
+namespace {
+
+/// Renders the cost keys of a template's source calls: each key as built,
+/// and where the template's slot literals sit in its text.
+class KeyRenderer {
+ public:
+  explicit KeyRenderer(const PlanTemplate& plan) : plan_(plan) {}
+
+  algebra::CostKeyPtr render(const LogicalPtr& remote, KeyTemplate& out) {
+    literals_.clear();
+    out.key = algebra::cost_key(remote, &literals_);
+    out.spans.clear();
+    for (const oql::LiteralSpan& span : literals_) {
+      const int64_t slot = plan_.slot_of(span.literal);
+      if (slot >= 0) {
+        out.spans.push_back({static_cast<uint32_t>(span.begin),
+                             static_cast<uint32_t>(span.end),
+                             static_cast<uint32_t>(slot)});
+      } else if (!span.literal->literal.is_collection() &&
+                 span.literal->literal.kind() != ValueKind::Struct) {
+        // A scalar literal that is no slot: another query of this shape
+        // could not rewrite it, so the template serves only its own.
+        complete_ = false;
+      }
+    }
+    return out.key;
+  }
+
+  /// False once a key held a scalar literal that is no slot.
+  bool complete() const { return complete_; }
+
+ private:
+  const PlanTemplate& plan_;
+  std::vector<oql::LiteralSpan> literals_;
+  bool complete_ = true;
+};
+
+/// Implementation rules (submit => exec etc.). With `keys`, every source
+/// call's key is rendered by it, and those holding a slot are appended to
+/// `out`.
+PhysicalPtr implement_plan(const Optimizer& optimizer, const LogicalPtr& node,
+                           KeyRenderer* keys, std::vector<SourceKeys>* out) {
   switch (node->op) {
     case LOp::Submit: {
       std::vector<std::string> extent_names = algebra::extents(node);
       internal_check(!extent_names.empty(), "submit without extents");
-      return physical::make_exec(node->repository,
-                                 wrapper_of_extent(extent_names.front()),
-                                 node->child, node);
+      const std::string& wrapper =
+          optimizer.wrapper_of_extent(extent_names.front());
+      if (keys == nullptr) {
+        return physical::make_exec(node->repository, wrapper, node->child,
+                                   node);
+      }
+      SourceKeys source;
+      algebra::CostKeyPtr key = keys->render(node->child, source.remote);
+      PhysicalPtr exec = physical::make_exec(node->repository, wrapper,
+                                             node->child, node, std::move(key));
+      if (!source.remote.spans.empty()) {
+        source.node = exec.get();
+        out->push_back(std::move(source));
+      }
+      return exec;
     }
     case LOp::Const:
       return physical::make_const(node->data, node);
     case LOp::Filter:
-      return physical::make_filter(implement(node->child), node->predicate,
-                                   node);
+      return physical::make_filter(
+          implement_plan(optimizer, node->child, keys, out), node->predicate,
+          node);
     case LOp::Project:
-      return physical::make_project(implement(node->child),
-                                    node->projection, node->distinct, node);
+      return physical::make_project(
+          implement_plan(optimizer, node->child, keys, out), node->projection,
+          node->distinct, node);
     case LOp::Union: {
       std::vector<PhysicalPtr> children;
       children.reserve(node->children.size());
       for (const LogicalPtr& child : node->children) {
-        children.push_back(implement(child));
+        children.push_back(implement_plan(optimizer, child, keys, out));
       }
       return physical::make_union(std::move(children), node);
     }
     case LOp::Join: {
-      PhysicalPtr left = implement(node->left);
-      PhysicalPtr right = implement(node->right);
+      PhysicalPtr left = implement_plan(optimizer, node->left, keys, out);
+      PhysicalPtr right = implement_plan(optimizer, node->right, keys, out);
       // Implementation rule: an equi-conjunct turns the join into a hash
       // join.
       std::optional<EquiJoin> equi =
@@ -492,6 +581,12 @@ physical::PhysicalPtr Optimizer::implement(const LogicalPtr& node) const {
       throw InternalError("bare get outside a submit cannot be implemented");
   }
   throw InternalError("corrupt logical expression in implement");
+}
+
+}  // namespace
+
+physical::PhysicalPtr Optimizer::implement(const LogicalPtr& node) const {
+  return implement_plan(*this, node, nullptr, nullptr);
 }
 
 namespace {
@@ -773,12 +868,15 @@ class BranchPlanner {
 
 /// Extension: builds a bind-join plan for a two-source equi-join branch,
 /// or returns null when the shape does not qualify. `decisions`
-/// (nullable) receives the probe-side capability consultation.
+/// (nullable) receives the probe-side capability consultation; `keys` and
+/// `out` are implement_plan's.
 physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
                                     GrammarCache& grammars,
                                     const BranchParts& parts,
                                     const LogicalPtr& branch_logical,
-                                    std::vector<PushdownDecision>* decisions) {
+                                    std::vector<PushdownDecision>* decisions,
+                                    KeyRenderer* keys,
+                                    std::vector<SourceKeys>* out) {
   if (parts.leaves.size() != 2) return nullptr;
   const Leaf& build = parts.leaves[0];
   const Leaf& probe = parts.leaves[1];
@@ -831,7 +929,8 @@ physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
   }
   LogicalPtr build_logical =
       algebra::submit(build.extent->repository, build_inner);
-  physical::PhysicalPtr build_plan = optimizer.implement(build_logical);
+  physical::PhysicalPtr build_plan =
+      implement_plan(optimizer, build_logical, keys, out);
   if (!build_mediator.empty()) {
     LogicalPtr filtered =
         algebra::filter(build_logical, oql::conjoin(build_mediator));
@@ -859,11 +958,23 @@ physical::PhysicalPtr try_bind_join(const Optimizer& optimizer,
   // side is unavailable the Project node above re-wraps it (§4).
   internal_check(branch_logical->op == LOp::Project,
                  "bind join candidates come from project-topped branches");
+  SourceKeys source;
+  algebra::CostKeyPtr remote_key;
+  algebra::CostKeyPtr shape_key;
+  if (keys != nullptr) {
+    remote_key = keys->render(probe_base, source.remote);
+    shape_key = keys->render(probe_shape, source.probe);
+  }
   physical::PhysicalPtr joined = physical::make_bind_join(
       std::move(build_plan), probe.extent->repository,
       probe.extent->wrapper, probe_base, probe_shape,
       std::move(equi->left_key), std::move(equi->right_key),
-      oql::conjoin(residual), branch_logical->child);
+      oql::conjoin(residual), branch_logical->child, std::move(remote_key),
+      std::move(shape_key));
+  if (!source.remote.spans.empty() || !source.probe.spans.empty()) {
+    source.node = joined.get();
+    out->push_back(std::move(source));
+  }
   return physical::make_project(std::move(joined), parts.projection,
                                 parts.distinct, branch_logical);
 }
@@ -874,25 +985,95 @@ Cost Optimizer::cost(const physical::PhysicalPtr& plan) const {
   return Coster(history_, &health_).cost(plan);
 }
 
+CostHistory::Estimate PricingMemo::estimate(const CostHistory& history,
+                                            const std::string& repository,
+                                            const std::string& text,
+                                            const std::string& signature) {
+  std::string key = repository;
+  key += '\0';
+  key += text;
+  auto it = estimates_.find(key);
+  if (it == estimates_.end()) {
+    it = estimates_
+             .emplace(std::move(key),
+                      history.estimate(repository, text, signature))
+             .first;
+  }
+  return it->second;
+}
+
+double PricingMemo::availability(
+    const std::function<double(const std::string&)>& health,
+    const std::string& repository) {
+  auto it = availability_.find(repository);
+  if (it == availability_.end()) {
+    it = availability_.emplace(repository, health(repository)).first;
+  }
+  return it->second;
+}
+
+namespace {
+
+/// The variant a fresh optimize keeps among `costs` (one per variant, in
+/// order): the cheapest and, among equals, the first — or, for lattice
+/// variants with costing off, the last.
+size_t choose(const TemplateBranch& branch, const std::vector<Cost>& costs,
+              bool cost_based) {
+  size_t best = 0;
+  for (size_t i = 1; i < costs.size(); ++i) {
+    const double c = costs[i].total();
+    const double b = costs[best].total();
+    if (c < b || (c == b && !cost_based && !branch.variants[i].bind_join)) {
+      best = i;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
                                       obs::ObsContext obs) const {
-  TranslationUnit unit = translate(query, *catalog_, options_.max_branches);
+  const QueryShape shape = shape_of(query, *catalog_, /*keyed=*/false);
+  return bind(*enumerate(shape, obs), shape, obs);
+}
+
+std::shared_ptr<const PlanTemplate> Optimizer::enumerate(
+    const QueryShape& shape, obs::ObsContext obs) const {
+  auto plan = std::make_shared<PlanTemplate>();
+  plan->expanded = shape.expanded;
+  plan->slots = shape.slots;
+  plan->printed = shape.printed;
+  // Slot spans in cost keys matter only to a template that other queries
+  // of its shape bind: a keyed one.
+  std::optional<KeyRenderer> renderer;
+  if (!shape.key.empty()) {
+    plan->slot_index.reserve(shape.slots.size());
+    for (size_t i = 0; i < shape.slots.size(); ++i) {
+      plan->slot_index.emplace_back(shape.slots[i].get(),
+                                    static_cast<uint32_t>(i));
+    }
+    std::sort(plan->slot_index.begin(), plan->slot_index.end());
+    renderer.emplace(*plan);
+  }
+  KeyRenderer* keys = renderer.has_value() ? &*renderer : nullptr;
+
+  TranslationUnit unit =
+      translate_expanded(shape.expanded, *catalog_, options_.max_branches);
   if (options_.static_typecheck) {
     obs::ScopedSpan typecheck(obs, "typecheck", "optimizer");
     check_attributes(unit.expanded, *catalog_);
   }
-  Result result;
-  result.expanded = unit.expanded;
-  result.prune = unit.prune;
-  for (const auto& [name, plan] : unit.aux) {
-    result.aux.emplace_back(name, implement(plan));
+  plan->prune = unit.prune;
+  for (const auto& [name, aux] : unit.aux) {
+    plan->aux.emplace_back(name, implement(aux));
   }
-  for (const auto& [name, plan] : unit.aux_closures) {
-    result.aux_closures.emplace_back(name, implement(plan));
+  for (const auto& [name, aux] : unit.aux_closures) {
+    plan->aux_closures.emplace_back(name, implement(aux));
   }
   if (!unit.is_plan_mode()) {
-    result.local = unit.local;
-    return result;
+    plan->local = unit.local;
+    return plan;
   }
 
   std::vector<LogicalPtr> branches;
@@ -901,15 +1082,10 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
   } else {
     branches.push_back(unit.plan);
   }
+  plan->branches.reserve(branches.size());
 
-  Coster coster(history_, &health_);
-  GrammarCache grammar_cache(*this, options_.prune, &result.prune);
-  std::vector<PhysicalPtr> physical_branches;
-  physical_branches.reserve(branches.size());
-  std::vector<LogicalPtr> chosen_logical;
-  chosen_logical.reserve(branches.size());
-  std::vector<Cost> branch_costs;
-  branch_costs.reserve(branches.size());
+  GrammarCache grammar_cache(*this, options_.prune, &plan->prune);
+  const bool record = options_.record_decisions;
 
   // Shape sharing: above the threshold, branches with an identical shape
   // key reuse the first such branch's winning pushdown flags instead of
@@ -918,7 +1094,8 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
   // wrapper co-location pattern (R3 merges need both equal), and the
   // predicate / projection texts — so a shared branch builds the same
   // *structural* winner; only per-repository cost differences are traded
-  // away.
+  // away. The representative's winner is priced here, as bind() will
+  // price it, which ties the template to those prices: it is not reused.
   struct ShapeChoice {
     bool push_select = false;
     bool push_project = false;
@@ -929,6 +1106,7 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
   std::unordered_map<std::string, ShapeChoice> shape_memo;
   const bool share = options_.prune &&
                      branches.size() > options_.prune_share_threshold;
+  Coster coster(history_, &health_);
   auto shape_key = [&](const BranchParts& parts) {
     std::string key;
     std::map<std::string, size_t> repo_ids;
@@ -968,40 +1146,33 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
     key += oql::to_oql(parts.projection);
     return key;
   };
+  // Builds the lattice variant with these flags.
+  auto build_variant = [&](const BranchParts& parts, bool push_select,
+                           bool push_project, bool merge_joins) {
+    TemplateVariant variant;
+    BranchPlanner planner(*this, *catalog_, options_, &grammar_cache,
+                          record ? &variant.decisions : nullptr);
+    Variant built =
+        planner.build(parts, push_select, push_project, merge_joins);
+    variant.logical = built.logical;
+    variant.plan = implement_plan(*this, built.logical, keys, &variant.keys);
+    variant.push_select = push_select;
+    variant.push_project = push_project;
+    variant.merge_joins = merge_joins;
+    return std::pair{std::move(variant), built.effects};
+  };
 
   for (const LogicalPtr& branch : branches) {
+    TemplateBranch& out = plan->branches.emplace_back();
     if (branch->op == LOp::Const) {
-      physical_branches.push_back(physical::make_const(branch->data, branch));
-      branch_costs.push_back(coster.cost(physical_branches.back()));
-      chosen_logical.push_back(branch);
-      ++result.plans_considered;
+      out.constant = true;
+      TemplateVariant constant;
+      constant.plan = physical::make_const(branch->data, branch);
+      constant.logical = branch;
+      out.variants.push_back(std::move(constant));
       continue;
     }
     BranchParts parts = decompose_branch(branch, *catalog_);
-
-    std::optional<Cost> best_cost;
-    PhysicalPtr best_plan;
-    LogicalPtr best_logical;
-    std::vector<PushdownDecision> best_decisions;
-    size_t best_candidate = static_cast<size_t>(-1);
-    const bool record = options_.record_decisions;
-    // Candidate text is rendered only for a reader: explain's record or a
-    // listening trace.
-    auto note_candidate = [&](const LogicalPtr& logical, Cost c, bool ps,
-                              bool pp, bool mj, bool bj) {
-      if (!record && !obs) return;
-      const std::string logical_text = algebra::to_algebra_string(logical);
-      if (record) {
-        result.candidates.push_back(
-            {logical_text, c, ps, pp, mj, bj, false});
-      }
-      if (obs) {
-        const uint64_t event =
-            obs.trace->instant(obs.span, "candidate", "optimizer");
-        obs.trace->tag(event, "logical", logical_text);
-        obs.trace->tag(event, "total_s", c.total());
-      }
-    };
 
     std::string key;
     const ShapeChoice* shared = nullptr;
@@ -1015,142 +1186,165 @@ Optimizer::Result Optimizer::optimize(const oql::ExprPtr& query,
       // The representative's winner was a bind join; the qualification
       // tests and grammar verdicts are all shape-covered, so this should
       // qualify too — but fall back to full enumeration if it does not.
-      std::vector<PushdownDecision> bind_decisions;
-      physical::PhysicalPtr candidate =
-          try_bind_join(*this, grammar_cache, parts, branch,
-                        record ? &bind_decisions : nullptr);
-      if (candidate != nullptr) {
-        Cost c = coster.cost(candidate);
-        ++result.plans_considered;
-        result.prune.variants_skipped += shared->variants_costed - 1;
-        note_candidate(branch, c, false, false, false, true);
-        best_cost = c;
-        best_plan = candidate;
-        best_logical = branch;
-        best_decisions = std::move(bind_decisions);
-        if (record) best_candidate = result.candidates.size() - 1;
+      TemplateVariant variant;
+      variant.bind_join = true;
+      variant.logical = branch;
+      variant.plan = try_bind_join(*this, grammar_cache, parts, branch,
+                                   record ? &variant.decisions : nullptr,
+                                   keys, &variant.keys);
+      if (variant.plan != nullptr) {
+        out.variants.push_back(std::move(variant));
+        plan->prune.variants_skipped += shared->variants_costed - 1;
       } else {
         shared = nullptr;
       }
     } else if (shared != nullptr) {
-      std::vector<PushdownDecision> variant_decisions;
-      BranchPlanner planner(*this, *catalog_, options_, &grammar_cache,
-                            record ? &variant_decisions : nullptr);
-      Variant variant = planner.build(parts, shared->push_select,
-                                      shared->push_project,
-                                      shared->merge_joins);
-      best_plan = implement(variant.logical);
-      best_cost = coster.cost(best_plan);
-      best_logical = variant.logical;
-      best_decisions = std::move(variant_decisions);
-      ++result.plans_considered;
-      result.prune.variants_skipped += shared->variants_costed - 1;
-      note_candidate(variant.logical, *best_cost, shared->push_select,
-                     shared->push_project, shared->merge_joins, false);
-      if (record) best_candidate = result.candidates.size() - 1;
+      out.variants.push_back(build_variant(parts, shared->push_select,
+                                           shared->push_project,
+                                           shared->merge_joins)
+                                 .first);
+      plan->prune.variants_skipped += shared->variants_costed - 1;
     }
+    if (shared != nullptr) continue;
 
-    if (shared == nullptr) {
-      ShapeChoice winner;
-      size_t variants_costed = 0;
-      // The {R1, R2, R3} lattice, each rewrite requested before it is left
-      // off: `off` holds the rewrites a combination leaves off, so 0
-      // requests all three and 7 none. A combination that leaves rewrite
-      // f off repeats its twin that requests f whenever the twin showed
-      // that f took no effect; it is skipped and inherits the twin's
-      // effects. Every combination built is then a new variant, met in
-      // the order a full walk of the lattice would meet it, so candidate
-      // flags and tie-breaks stay those of the full walk.
-      std::array<std::optional<unsigned>, 8> effects_of;
-      for (unsigned off = 0; off < effects_of.size(); ++off) {
-        const bool push_select = (off & kR1) == 0;
-        const bool push_project = (off & kR2) == 0;
-        const bool merge_joins = (off & kR3) == 0;
-        if ((push_select && !options_.enable_select_pushdown) ||
-            (push_project && !options_.enable_project_pushdown) ||
-            (merge_joins && !options_.enable_join_merge)) {
-          continue;
-        }
-        for (unsigned rewrite : {kR1, kR2, kR3}) {
-          if ((off & rewrite) == 0) continue;
-          const std::optional<unsigned>& twin = effects_of[off & ~rewrite];
-          if (twin.has_value() && (*twin & rewrite) == 0) {
-            effects_of[off] = twin;
-            break;
-          }
-        }
-        if (effects_of[off].has_value()) continue;  // a repeat
-        std::vector<PushdownDecision> variant_decisions;
-        BranchPlanner planner(*this, *catalog_, options_, &grammar_cache,
-                              record ? &variant_decisions : nullptr);
-        Variant variant =
-            planner.build(parts, push_select, push_project, merge_joins);
-        effects_of[off] = variant.effects;
-        PhysicalPtr plan = implement(variant.logical);
-        Cost c = coster.cost(plan);
-        ++result.plans_considered;
-        ++variants_costed;
-        note_candidate(variant.logical, c, push_select, push_project,
-                       merge_joins, false);
-        bool better =
-            !best_cost.has_value() || c.total() < best_cost->total() ||
-            (c.total() == best_cost->total() && !options_.cost_based);
-        if (better) {
-          best_cost = c;
-          best_plan = plan;
-          best_logical = variant.logical;
-          best_decisions = std::move(variant_decisions);
-          winner = {push_select, push_project, merge_joins, false, 0};
-          if (record) best_candidate = result.candidates.size() - 1;
-        }
-        if (!options_.cost_based) break;  // maximal pushdown first
+    // The {R1, R2, R3} lattice, each rewrite requested before it is left
+    // off: `off` holds the rewrites a combination leaves off, so 0
+    // requests all three and 7 none. A combination that leaves rewrite
+    // f off repeats its twin that requests f whenever the twin showed
+    // that f took no effect; it is skipped and inherits the twin's
+    // effects. Every combination built is then a new variant, met in
+    // the order a full walk of the lattice would meet it, so candidate
+    // flags and tie-breaks stay those of the full walk.
+    std::array<std::optional<unsigned>, 8> effects_of;
+    for (unsigned off = 0; off < effects_of.size(); ++off) {
+      const bool push_select = (off & kR1) == 0;
+      const bool push_project = (off & kR2) == 0;
+      const bool merge_joins = (off & kR3) == 0;
+      if ((push_select && !options_.enable_select_pushdown) ||
+          (push_project && !options_.enable_project_pushdown) ||
+          (merge_joins && !options_.enable_join_merge)) {
+        continue;
       }
-      if (options_.enable_bind_join) {
-        std::vector<PushdownDecision> bind_decisions;
-        physical::PhysicalPtr candidate =
-            try_bind_join(*this, grammar_cache, parts, branch,
-                          record ? &bind_decisions : nullptr);
-        if (candidate != nullptr) {
-          Cost c = coster.cost(candidate);
-          ++result.plans_considered;
-          ++variants_costed;
-          note_candidate(branch, c, false, false, false, true);
-          if (!best_cost.has_value() || c.total() < best_cost->total()) {
-            best_cost = c;
-            best_plan = candidate;
-            // The logical form stays the original branch: bind join is a
-            // physical strategy for the same logical join.
-            best_logical = branch;
-            // The losing variant's consultations no longer apply; the
-            // bind-join ones are appended below.
-            best_decisions.clear();
-            winner = {false, false, false, true, 0};
-            if (record) best_candidate = result.candidates.size() - 1;
-          }
-        }
-        // The probe-side consultation is worth explaining even when the
-        // bind join lost or never qualified.
-        if (record) {
-          for (PushdownDecision& decision : bind_decisions) {
-            best_decisions.push_back(std::move(decision));
-          }
+      for (unsigned rewrite : {kR1, kR2, kR3}) {
+        if ((off & rewrite) == 0) continue;
+        const std::optional<unsigned>& twin = effects_of[off & ~rewrite];
+        if (twin.has_value() && (*twin & rewrite) == 0) {
+          effects_of[off] = twin;
+          break;
         }
       }
-      if (share) {
-        winner.variants_costed = variants_costed;
-        shape_memo.emplace(std::move(key), winner);
+      if (effects_of[off].has_value()) continue;  // a repeat
+      auto [variant, effects] =
+          build_variant(parts, push_select, push_project, merge_joins);
+      effects_of[off] = effects;
+      out.variants.push_back(std::move(variant));
+      if (!options_.cost_based) break;  // maximal pushdown first
+    }
+    if (options_.enable_bind_join) {
+      TemplateVariant variant;
+      variant.bind_join = true;
+      // The logical form stays the original branch: bind join is a
+      // physical strategy for the same logical join. The probe-side
+      // consultation is worth explaining even when the bind join loses
+      // or never qualifies.
+      variant.logical = branch;
+      variant.plan = try_bind_join(*this, grammar_cache, parts, branch,
+                                   record ? &out.bind_decisions : nullptr,
+                                   keys, &variant.keys);
+      if (variant.plan != nullptr) out.variants.push_back(std::move(variant));
+    }
+    internal_check(!out.variants.empty(), "no plan produced for branch");
+    if (share) {
+      std::vector<Cost> costs;
+      for (const TemplateVariant& variant : out.variants) {
+        costs.push_back(coster.cost(variant.plan));
+      }
+      const TemplateVariant& winner =
+          out.variants[choose(out, costs, options_.cost_based)];
+      shape_memo.emplace(
+          std::move(key),
+          ShapeChoice{winner.push_select, winner.push_project,
+                      winner.merge_joins, winner.bind_join,
+                      out.variants.size()});
+    }
+  }
+  plan->reusable = !share && keys != nullptr && keys->complete();
+  return plan;
+}
+
+Optimizer::Result Optimizer::bind(const PlanTemplate& plan,
+                                  const QueryShape& shape, obs::ObsContext obs,
+                                  PricingMemo* memo) const {
+  Result result;
+  result.expanded = shape.expanded;
+  result.prune = plan.prune;
+  result.aux = plan.aux;
+  result.aux_closures = plan.aux_closures;
+  if (plan.local != nullptr) {
+    result.local = shape.expanded;
+    return result;
+  }
+
+  SlotBinding binding(plan, shape);
+  Coster coster(history_, &health_, memo);
+  const bool record = options_.record_decisions;
+  std::vector<PhysicalPtr> physical_branches;
+  physical_branches.reserve(plan.branches.size());
+  std::vector<LogicalPtr> chosen_logical;
+  chosen_logical.reserve(plan.branches.size());
+  std::vector<Cost> branch_costs;
+  branch_costs.reserve(plan.branches.size());
+  std::vector<Cost> costs;
+  std::vector<BoundText> texts;
+
+  for (const TemplateBranch& branch : plan.branches) {
+    binding.next_branch();
+    costs.clear();
+    const size_t first_candidate = result.candidates.size();
+    for (const TemplateVariant& variant : branch.variants) {
+      texts.clear();
+      if (!binding.identity()) {
+        for (const SourceKeys& source : variant.keys) {
+          texts.push_back({source.node, binding.splice(source.remote),
+                           binding.splice(source.probe)});
+        }
+      }
+      coster.use_texts(texts.empty() ? nullptr : &texts);
+      costs.push_back(coster.cost(variant.plan));
+      ++result.plans_considered;
+      // Candidate text is rendered only for a reader: explain's record or
+      // a listening trace.
+      if (branch.constant || (!record && !obs)) continue;
+      const std::string logical_text =
+          algebra::to_algebra_string(binding.logical(variant.logical));
+      if (record) {
+        result.candidates.push_back(
+            {logical_text, costs.back(), variant.push_select,
+             variant.push_project, variant.merge_joins, variant.bind_join,
+             false});
+      }
+      if (obs) {
+        const uint64_t event =
+            obs.trace->instant(obs.span, "candidate", "optimizer");
+        obs.trace->tag(event, "logical", logical_text);
+        obs.trace->tag(event, "total_s", costs.back().total());
       }
     }
-    internal_check(best_plan != nullptr, "no plan produced for branch");
-    if (record && best_candidate != static_cast<size_t>(-1)) {
-      result.candidates[best_candidate].chosen = true;
+    coster.use_texts(nullptr);
+    const size_t best = choose(branch, costs, options_.cost_based);
+    const TemplateVariant& winner = branch.variants[best];
+    if (record && !branch.constant) {
+      result.candidates[first_candidate + best].chosen = true;
+      result.decisions.insert(result.decisions.end(),
+                              winner.decisions.begin(),
+                              winner.decisions.end());
+      result.decisions.insert(result.decisions.end(),
+                              branch.bind_decisions.begin(),
+                              branch.bind_decisions.end());
     }
-    for (PushdownDecision& decision : best_decisions) {
-      result.decisions.push_back(std::move(decision));
-    }
-    physical_branches.push_back(std::move(best_plan));
-    branch_costs.push_back(*best_cost);
-    chosen_logical.push_back(std::move(best_logical));
+    physical_branches.push_back(binding.plan(winner.plan, winner.keys));
+    chosen_logical.push_back(binding.logical(winner.logical));
+    branch_costs.push_back(costs[best]);
   }
 
   LogicalPtr overall = algebra::union_of(chosen_logical);

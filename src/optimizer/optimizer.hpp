@@ -19,10 +19,15 @@
 // Alternatives are enumerated per branch over the {R1, R2, R3} on/off
 // lattice, each distinct variant built once (a combination that repeats
 // a twin whose rewrite took no effect is skipped), costed with the
-// learned cost model (cost.hpp), and the cheapest is kept.
+// learned cost model (cost.hpp), and the cheapest is kept. Enumeration
+// and costing are separate steps (plan_template.hpp): enumerate() builds
+// every variant once per query shape, bind() prices them for one query's
+// literals and chooses.
 #pragma once
 
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,6 +107,28 @@ struct PlanCandidate {
   bool chosen = false;
 };
 
+struct QueryShape;
+struct PlanTemplate;
+
+/// Answers each estimate and availability once, so that bindings priced
+/// side by side see one history and one health reading while sources keep
+/// recording. Plan-check builds compare a template hit with a fresh
+/// optimize through one.
+class PricingMemo {
+ public:
+  CostHistory::Estimate estimate(const CostHistory& history,
+                                 const std::string& repository,
+                                 const std::string& text,
+                                 const std::string& signature);
+  double availability(
+      const std::function<double(const std::string&)>& health,
+      const std::string& repository);
+
+ private:
+  std::map<std::string, CostHistory::Estimate> estimates_;
+  std::map<std::string, double> availability_;
+};
+
 class Optimizer {
  public:
   using WrapperResolver =
@@ -142,10 +169,25 @@ class Optimizer {
     std::vector<PlanCandidate> candidates;
   };
 
-  /// `obs` (optional) records a typecheck sub-span and one "candidate"
-  /// instant per costed variant under the caller's optimize span.
+  /// enumerate() then bind(). `obs` (optional) records a typecheck
+  /// sub-span and one "candidate" instant per costed variant under the
+  /// caller's optimize span.
   Result optimize(const oql::ExprPtr& query,
                   obs::ObsContext obs = {}) const;
+
+  /// Everything before pricing, for `shape`'s query: translation,
+  /// typecheck, branch decomposition and every branch's distinct
+  /// variants. Cost keys carry their slots' spans when `shape` is keyed.
+  std::shared_ptr<const PlanTemplate> enumerate(const QueryShape& shape,
+                                                obs::ObsContext obs = {}) const;
+
+  /// Prices `plan`'s variants for `shape`'s literals with the current
+  /// history and health, chooses as a fresh optimize does, and builds the
+  /// winners with those literals. `shape` is the query `plan` was built
+  /// from, or one with the same template key. `memo` (optional) answers
+  /// repeated estimates once.
+  Result bind(const PlanTemplate& plan, const QueryShape& shape,
+              obs::ObsContext obs = {}, PricingMemo* memo = nullptr) const;
 
   /// Costs an arbitrary physical plan with the current history — exposed
   /// for tests and the optimizer benches.

@@ -162,10 +162,11 @@ class Translator {
   Translator(const Catalog& catalog, size_t max_branches)
       : catalog_(catalog), max_branches_(max_branches) {}
 
-  TranslationUnit run(const oql::ExprPtr& query) {
+  /// `expanded`: the caller expanded the query's views already.
+  TranslationUnit run(const oql::ExprPtr& query, bool expanded) {
     TranslationUnit out;
     prune_.extents_total = catalog_.extent_count();
-    out.expanded = expand_views(query, catalog_);
+    out.expanded = expanded ? query : expand_views(query, catalog_);
     if (LogicalPtr plan = try_plan(out.expanded)) {
       out.plan = std::move(plan);
     } else {
@@ -405,7 +406,14 @@ TranslationUnit translate(const oql::ExprPtr& query,
                           const catalog::Catalog& catalog,
                           size_t max_branches) {
   internal_check(query != nullptr, "cannot translate a null query");
-  return Translator(catalog, max_branches).run(query);
+  return Translator(catalog, max_branches).run(query, /*expanded=*/false);
+}
+
+TranslationUnit translate_expanded(const oql::ExprPtr& expanded,
+                                   const catalog::Catalog& catalog,
+                                   size_t max_branches) {
+  internal_check(expanded != nullptr, "cannot translate a null query");
+  return Translator(catalog, max_branches).run(expanded, /*expanded=*/true);
 }
 
 }  // namespace disco::optimizer

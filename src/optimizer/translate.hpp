@@ -85,6 +85,11 @@ TranslationUnit translate(const oql::ExprPtr& query,
                           const catalog::Catalog& catalog,
                           size_t max_branches = 4096);
 
+/// Same, for a query whose views expand_views() already expanded.
+TranslationUnit translate_expanded(const oql::ExprPtr& expanded,
+                                   const catalog::Catalog& catalog,
+                                   size_t max_branches = 4096);
+
 /// Expands view references (define ... as ..., §2.2.3) until none remain.
 /// Cycle-free by catalog construction.
 oql::ExprPtr expand_views(const oql::ExprPtr& query,

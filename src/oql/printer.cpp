@@ -39,7 +39,8 @@ constexpr int kNotPrecedence = 3;
 constexpr int kNegPrecedence = 7;
 constexpr int kPrimary = 10;
 
-void print(const Expr& expr, int min_precedence, std::string& out);
+void print(const Expr& expr, int min_precedence, std::string& out,
+           std::vector<LiteralSpan>* spans);
 
 void print_parenthesized(const Expr& expr, int own, int min_precedence,
                          std::string& out,
@@ -51,11 +52,15 @@ void print_parenthesized(const Expr& expr, int own, int min_precedence,
   if (need) out += ')';
 }
 
-void print(const Expr& expr, int min_precedence, std::string& out) {
+void print(const Expr& expr, int min_precedence, std::string& out,
+           std::vector<LiteralSpan>* spans) {
   switch (expr.kind) {
-    case ExprKind::Literal:
+    case ExprKind::Literal: {
+      const size_t begin = out.size();
       out += expr.literal.to_oql();
+      if (spans != nullptr) spans->push_back({&expr, begin, out.size()});
       return;
+    }
     case ExprKind::Ident:
       out += expr.name;
       return;
@@ -64,7 +69,7 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
       out += '*';
       return;
     case ExprKind::Path:
-      print(*expr.child, kPrimary, out);
+      print(*expr.child, kPrimary, out, spans);
       out += '.';
       out += expr.name;
       return;
@@ -74,10 +79,10 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
       print_parenthesized(expr, own, min_precedence, out, [&] {
         if (expr.unary_op == UnaryOp::Not) {
           out += "not ";
-          print(*expr.child, kNotPrecedence, out);
+          print(*expr.child, kNotPrecedence, out, spans);
         } else {
           out += '-';
-          print(*expr.child, kNegPrecedence, out);
+          print(*expr.child, kNegPrecedence, out, spans);
         }
       });
       return;
@@ -89,11 +94,11 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
         // right child must bind strictly tighter. Comparisons are
         // non-associative, so both sides must bind tighter.
         bool comparison = own == 4;
-        print(*expr.left, comparison ? own + 1 : own, out);
+        print(*expr.left, comparison ? own + 1 : own, out, spans);
         out += ' ';
         out += to_string(expr.binary_op);
         out += ' ';
-        print(*expr.right, own + 1, out);
+        print(*expr.right, own + 1, out, spans);
       });
       return;
     }
@@ -105,7 +110,7 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
         // Arguments are comma-separated: a bare select would greedily
         // consume the following ", x in ..." as extra from-bindings, so
         // selects are parenthesized here (min precedence 1).
-        print(*expr.args[i], 1, out);
+        print(*expr.args[i], 1, out, spans);
       }
       out += ')';
       return;
@@ -116,7 +121,7 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
         if (i > 0) out += ", ";
         out += expr.struct_fields[i].first;
         out += ": ";
-        print(*expr.struct_fields[i].second, 1, out);
+        print(*expr.struct_fields[i].second, 1, out, spans);
       }
       out += ')';
       return;
@@ -128,12 +133,12 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
       // (a distinct select IS the set conversion of the plain select).
       if (expr.distinct) {
         std::string projection_text;
-        print(*expr.projection, 1, projection_text);
+        print(*expr.projection, 1, projection_text, nullptr);
         if (!projection_text.empty() && projection_text.front() == '(') {
           Expr plain = expr;
           plain.distinct = false;
           out += "distinct(";
-          print(plain, 1, out);
+          print(plain, 1, out, spans);
           out += ')';
           return;
         }
@@ -145,17 +150,17 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
       out += "select ";
       if (expr.distinct) out += "distinct ";
       // A select-valued projection would swallow the outer 'from'.
-      print(*expr.projection, 1, out);
+      print(*expr.projection, 1, out, spans);
       out += " from ";
       for (size_t i = 0; i < expr.from.size(); ++i) {
         if (i > 0) out += ", ";
         out += expr.from[i].var;
         out += " in ";
-        print(*expr.from[i].domain, 1, out);
+        print(*expr.from[i].domain, 1, out, spans);
       }
       if (expr.where != nullptr) {
         out += " where ";
-        print(*expr.where, 0, out);
+        print(*expr.where, 0, out, spans);
       }
       if (need) out += ')';
       return;
@@ -168,13 +173,18 @@ void print(const Expr& expr, int min_precedence, std::string& out) {
 
 std::string to_oql(const Expr& expr) {
   std::string out;
-  print(expr, 0, out);
+  print(expr, 0, out, nullptr);
   return out;
 }
 
 std::string to_oql(const ExprPtr& expr) {
   internal_check(expr != nullptr, "cannot print a null expression");
   return to_oql(*expr);
+}
+
+void append_oql(const Expr& expr, std::string& out,
+                std::vector<LiteralSpan>* literals) {
+  print(expr, 0, out, literals);
 }
 
 }  // namespace disco::oql

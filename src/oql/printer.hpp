@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "oql/ast.hpp"
 
@@ -15,5 +16,17 @@ namespace disco::oql {
 /// Canonical single-line text with minimal parentheses.
 std::string to_oql(const ExprPtr& expr);
 std::string to_oql(const Expr& expr);
+
+/// Where one literal's text sits in printed output: [begin, end).
+struct LiteralSpan {
+  const Expr* literal;
+  size_t begin;
+  size_t end;
+};
+
+/// Appends to_oql(expr) to `out`. With `literals`, also appends the span
+/// of every literal printed, in print order.
+void append_oql(const Expr& expr, std::string& out,
+                std::vector<LiteralSpan>* literals = nullptr);
 
 }  // namespace disco::oql

@@ -67,13 +67,15 @@ std::shared_ptr<Physical> base(POp op, algebra::LogicalPtr logical) {
 
 PhysicalPtr make_exec(std::string repository, std::string wrapper,
                       algebra::LogicalPtr remote,
-                      algebra::LogicalPtr logical) {
+                      algebra::LogicalPtr logical,
+                      algebra::CostKeyPtr remote_key) {
   internal_check(remote != nullptr, "exec needs a remote expression");
   auto node = base(POp::Exec, std::move(logical));
   node->repository = std::move(repository);
   node->wrapper = std::move(wrapper);
   node->remote = std::move(remote);
-  node->remote_key = algebra::cost_key(node->remote);
+  node->remote_key = remote_key != nullptr ? std::move(remote_key)
+                                           : algebra::cost_key(node->remote);
   return node;
 }
 
@@ -138,7 +140,9 @@ PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
                            algebra::LogicalPtr probe_shape,
                            EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
-                           algebra::LogicalPtr logical) {
+                           algebra::LogicalPtr logical,
+                           algebra::CostKeyPtr remote_key,
+                           algebra::CostKeyPtr probe_key) {
   internal_check(left != nullptr && remote != nullptr &&
                      probe_shape != nullptr,
                  "bind join needs a build side, a probe template and its "
@@ -152,9 +156,12 @@ PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
   node->repository = std::move(repository);
   node->wrapper = std::move(wrapper);
   node->remote = std::move(remote);
-  node->remote_key = algebra::cost_key(node->remote);
+  node->remote_key = remote_key != nullptr ? std::move(remote_key)
+                                           : algebra::cost_key(node->remote);
   node->probe_shape = std::move(probe_shape);
-  node->probe_key = algebra::cost_key(node->probe_shape);
+  node->probe_key = probe_key != nullptr
+                        ? std::move(probe_key)
+                        : algebra::cost_key(node->probe_shape);
   node->left_key = std::move(left_key);
   node->right_key = std::move(right_key);
   node->predicate = std::move(residual_predicate);

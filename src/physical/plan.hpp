@@ -110,9 +110,12 @@ struct Physical {
   double estimated_rows = 0;
 };
 
+/// `remote_key` is `remote`'s cost key when the caller already rendered
+/// it (a plan template does); null renders it here.
 PhysicalPtr make_exec(std::string repository, std::string wrapper,
                       algebra::LogicalPtr remote,
-                      algebra::LogicalPtr logical);
+                      algebra::LogicalPtr logical,
+                      algebra::CostKeyPtr remote_key = nullptr);
 PhysicalPtr make_const(Value data, algebra::LogicalPtr logical);
 PhysicalPtr make_filter(PhysicalPtr child, oql::ExprPtr predicate,
                         algebra::LogicalPtr logical);
@@ -133,13 +136,15 @@ PhysicalPtr make_nl_join(PhysicalPtr left, PhysicalPtr right,
 /// canonical one-key probe expression used as the cost history record
 /// key for probe observations that shipped keys. `logical` is the branch's
 /// filtered join, whose predicate the nested loop evaluates when a key
-/// read throws.
+/// read throws. Null keys are rendered here, as in make_exec.
 PhysicalPtr make_bind_join(PhysicalPtr left, std::string repository,
                            std::string wrapper, algebra::LogicalPtr remote,
                            algebra::LogicalPtr probe_shape,
                            EquiKey left_key, EquiKey right_key,
                            oql::ExprPtr residual_predicate,
-                           algebra::LogicalPtr logical);
+                           algebra::LogicalPtr logical,
+                           algebra::CostKeyPtr remote_key = nullptr,
+                           algebra::CostKeyPtr probe_key = nullptr);
 PhysicalPtr make_union(std::vector<PhysicalPtr> children,
                        algebra::LogicalPtr logical);
 

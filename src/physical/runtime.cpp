@@ -421,8 +421,9 @@ bool Runtime::perform(Flight& flight) const {
   // deadline) the computed data is discarded and the exec is classified
   // unavailable (§4). Only simulated work is wasted.
   wrapper::Wrapper* wrapper = context_.wrapper_by_name(call.wrapper);
-  internal_check(wrapper != nullptr,
-                 "no wrapper object named '" + call.wrapper + "'");
+  if (wrapper == nullptr) {
+    throw InternalError("no wrapper object named '" + call.wrapper + "'");
+  }
   call.reply = wrapper->submit(
       context_.catalog->repository(call.repository), call.remote,
       wrapper::bindings_for(call.remote, *context_.catalog));

@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   options.session.retry_interval_s = 0.05;
   options.cache.enabled = true;
   options.sched.enabled = true;
-  options.enable_plan_cache = true;
   Mediator mediator(options);
 
   // The paper's person schema scaled to --sources repositories.

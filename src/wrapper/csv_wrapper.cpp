@@ -29,8 +29,9 @@ SubmitResult CsvWrapper::submit(const catalog::Repository& repository,
                        repository.name + "'");
   }
   auto binding_it = bindings.find(expr->extent);
-  internal_check(binding_it != bindings.end(),
-                 "missing binding for extent '" + expr->extent + "'");
+  if (binding_it == bindings.end()) {
+    throw InternalError("missing binding for extent '" + expr->extent + "'");
+  }
   const ExtentBinding& binding = binding_it->second;
   auto table_it = repo_it->second.find(binding.source_relation);
   if (table_it == repo_it->second.end()) {

@@ -97,8 +97,10 @@ SubmitResult KvWrapper::submit(const catalog::Repository& repository,
   }
 
   auto binding_it = bindings.find(get_node->extent);
-  internal_check(binding_it != bindings.end(),
-                 "missing binding for extent '" + get_node->extent + "'");
+  if (binding_it == bindings.end()) {
+    throw InternalError("missing binding for extent '" + get_node->extent +
+                        "'");
+  }
   const ExtentBinding& binding = binding_it->second;
   if (!store.has_collection(binding.source_relation)) {
     return SubmitResult::refused("store '" + repository.name +

@@ -37,9 +37,10 @@ using OrRefusal = std::variant<T, Refusal>;
 const ExtentBinding& binding_for(const BindingMap& bindings,
                                  const std::string& extent) {
   auto it = bindings.find(extent);
-  internal_check(it != bindings.end(),
-                 "runtime did not provide a binding for extent '" + extent +
-                     "'");
+  if (it == bindings.end()) {
+    throw InternalError("runtime did not provide a binding for extent '" +
+                        extent + "'");
+  }
   return it->second;
 }
 

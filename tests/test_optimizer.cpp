@@ -97,7 +97,6 @@ TEST(CostHistoryTest, ExactKeysPerRepositoryAreBounded) {
     return algebra::CostKey{"select(x.a = " + std::to_string(i) + ")",
                             "select(x.a = ?)"};
   };
-  const uint64_t version_before = history.version();
   constexpr size_t kTexts = 100'000;
   for (size_t i = 0; i < kTexts; ++i) {
     history.record("r0", key(i), 0.001 * static_cast<double>(i % 7), 3);
@@ -109,7 +108,6 @@ TEST(CostHistoryTest, ExactKeysPerRepositoryAreBounded) {
             CostHistory::Basis::Exact);
   EXPECT_EQ(history.estimate("r0", key(0)).basis,
             CostHistory::Basis::Close);
-  EXPECT_GT(history.version(), version_before);
 
   // Recording refreshes a key: the one re-recorded just before the next
   // eviction outlives the keys recorded between it and that eviction.

@@ -253,9 +253,8 @@ TEST(PartialEval, RoundTripEqualsNeverFailedAnswerAcrossQueryShapes) {
 // -- union-merge edge cases -------------------------------------------------
 //
 // The §4 answer is union(residuals, data); these pin the degenerate
-// merges the batch-splicing union (Options::vec) must also honor, so the
-// row path's behavior is test-locked in the shapes the differential
-// harness generates.
+// merges of the runtime's union, in the shapes the differential harness
+// generates.
 
 TEST(PartialEval, EmptyPartialWithNonEmptyResidualMerges) {
   // The available source contributes zero rows (Sam's salary is 50),

@@ -399,7 +399,6 @@ TEST(MediatorSchedStormTest, SixteenClientsTwoEndpointsLimitTwo) {
   const size_t kThreads = 16;
   const size_t kQueriesPerThread = 4;
   Mediator::Options options = sched_options(8, 2);
-  options.enable_plan_cache = true;
   SchedFederation federation(2, 4, options);  // 8 calls/query, 4 per repo
 
   std::atomic<size_t> complete{0};

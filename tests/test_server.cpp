@@ -676,7 +676,16 @@ TEST(ServerStormTest, SixteenClientsMixedTrafficStaysCoherent) {
 
   EXPECT_EQ(failures.load(), 0);
   // Every connection is gone; every owned pending query got cancelled.
-  for (int i = 0; i < 5000 && world.mediator->live_handles() > 0; ++i) {
+  // The IO thread may still have a close pending when the clients return,
+  // so the connection counts are polled within the same bound.
+  auto settled = [&world] {
+    const auto snap = world.mediator->obs_snapshot();
+    return world.mediator->live_handles() == 0 &&
+           world.srv->connections() == 0 &&
+           snap.counter("server.connections.accepted") ==
+               snap.counter("server.connections.closed");
+  };
+  for (int i = 0; i < 5000 && !settled(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(world.mediator->live_handles(), 0u);
